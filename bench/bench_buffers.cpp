@@ -11,9 +11,8 @@
 
 #include "bench_common.hpp"
 #include "core/buffers.hpp"
-#include "core/rotation.hpp"
-#include "core/remap.hpp"
 #include "core/list_scheduler.hpp"
+#include "core/remap_engine.hpp"
 #include "util/text_table.hpp"
 #include "workloads/library.hpp"
 #include "workloads/transforms.hpp"
@@ -26,28 +25,26 @@ using namespace ccs;
 /// lengths (the driver itself records lengths only).
 void trace_passes(const Csdfg& original, const Topology& topo, int passes) {
   const StoreAndForwardModel comm(topo);
-  Csdfg g = original;
-  ScheduleTable table = start_up_schedule(g, topo, comm);
+  RemapEngine engine(original, comm);
+  engine.bind(start_up_schedule(original, topo, comm));
 
   TextTable t;
   t.set_header({"pass", "length", "total buffers", "max edge", "lower bound"});
   auto report = [&](const std::string& label) {
-    const BufferReport b = buffer_requirements(g, table, comm);
-    t.add_row({label, std::to_string(table.length()),
+    const Csdfg& g = engine.graph();
+    const BufferReport b = buffer_requirements(g, engine.table(), comm);
+    t.add_row({label, std::to_string(engine.length()),
                std::to_string(b.total), std::to_string(b.max_edge),
                std::to_string(buffer_lower_bound(g))});
   };
   report("startup");
   for (int pass = 1; pass <= passes; ++pass) {
-    const int previous = table.length();
-    Csdfg rotated_graph = g;
-    ScheduleTable shifted = table;
-    const auto rotated = rotate_first_row(rotated_graph, shifted);
-    auto remapped = remap_rotated(rotated_graph, shifted, comm, rotated,
-                                  previous, RemapPolicy::kWithRelaxation);
-    if (!remapped) break;
-    g = rotated_graph;
-    table = *remapped;
+    const int previous = engine.length();
+    const auto rotated = engine.rotate();
+    if (!engine.remap(rotated, previous, RemapPolicy::kWithRelaxation,
+                      RemapSelection::kBidirectional))
+      break;
+    engine.commit();
     report(std::to_string(pass));
   }
   std::cout << t.to_string();

@@ -8,15 +8,15 @@
 //
 // Build & run:   ./examples/paper_walkthrough
 #include <iostream>
+#include <optional>
 
 #include "ccsched.hpp"
-#include "core/rotation.hpp"
 #include "workloads/library.hpp"
 
 int main() {
   using namespace ccs;
 
-  Csdfg g = paper_example6();
+  const Csdfg g = paper_example6();
   const Topology mesh = make_mesh(2, 2);
   const StoreAndForwardModel comm(mesh);
 
@@ -24,43 +24,45 @@ int main() {
             << to_dot(g) << '\n';
 
   // --- Section 3: start-up scheduling -------------------------------------
-  ScheduleTable table = start_up_schedule(g, mesh, comm);
+  const ScheduleTable startup = start_up_schedule(g, mesh, comm);
   std::cout << "Start-up schedule (Figure 2(a)); note C lands on pe2 at step "
                "3 because the A->C transfer costs one hop:\n"
-            << render_schedule(g, table) << '\n';
+            << render_schedule(g, startup) << '\n';
 
   // --- Section 4: one rotate-remap pass, narrated --------------------------
-  const int previous_length = table.length();
-  Retiming total(g.node_count());
-  const auto rotated = rotate_first_row(g, table, &total);
+  RemapEngine engine(g, comm);
+  engine.bind(startup);
+  const int previous_length = engine.length();
+  const auto rotated = engine.rotate();
+  const Csdfg& rotated_graph = engine.graph();
+  const ScheduleTable shifted = engine.table();
   std::cout << "Rotation extracts the first row {";
   for (std::size_t i = 0; i < rotated.size(); ++i)
     std::cout << (i ? "," : "") << g.node(rotated[i]).name;
   std::cout << "} and retimes it: one delay drains from each incoming edge "
                "and lands on each outgoing edge (Figure 1(c)).\n";
   std::cout << "Shifted table (renumbered control steps):\n"
-            << render_schedule(g, table) << '\n';
+            << render_schedule(rotated_graph, shifted) << '\n';
 
   for (const NodeId v : rotated) {
     std::cout << "Anticipation function for " << g.node(v).name
               << " at target length " << previous_length - 1 << ":";
     for (PeId pe = 0; pe < mesh.size(); ++pe)
       std::cout << "  pe" << pe + 1 << "->"
-                << RemapEngine::anticipation(g, table, comm, v, pe,
-                                             previous_length - 1);
+                << anticipation(rotated_graph, shifted, comm, v, pe,
+                                previous_length - 1);
     std::cout << '\n';
   }
 
-  auto remapped = RemapEngine::remap_rotated(
-      g, table, comm, rotated, previous_length,
-      RemapPolicy::kWithoutRelaxation);
+  const std::optional<int> remapped =
+      engine.remap(rotated, previous_length, RemapPolicy::kWithoutRelaxation,
+                   RemapSelection::kBidirectional);
   if (!remapped) {
     std::cerr << "remap unexpectedly failed\n";
     return 1;
   }
-  std::cout << "After remapping (pass 1, length " << remapped->length()
-            << "):\n"
-            << render_schedule(g, *remapped) << '\n';
+  std::cout << "After remapping (pass 1, length " << *remapped << "):\n"
+            << render_schedule(rotated_graph, engine.table()) << '\n';
 
   // --- Let the driver finish ----------------------------------------------
   CycloCompactionOptions opt;

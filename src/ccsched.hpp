@@ -24,14 +24,16 @@
 //       ... Solver-based code ...
 //     #endif
 //
-// Version 2 (the RemapEngine release): the free-function remap surface in
-// core/remap.hpp is deprecated in favor of ccs::RemapEngine
-// (core/remap_engine.hpp), and SolveResponse gained the additive
-// remap_slots_scanned / an_evaluations / engine_backend fields.  See the
-// "v1 -> v2 migration" section of docs/API.md.
+// Version 2 (the RemapEngine release) added ccs::RemapEngine
+// (core/remap_engine.hpp) and the SolveResponse remap_slots_scanned /
+// an_evaluations fields.  Version 3 leaves RemapEngine as the only remap
+// implementation: the v1 free-function remap and rotation headers, the
+// remap backend selection and the result fields naming the backend are
+// gone.  The "v2 -> v3" section of docs/API.md lists every removed name
+// and its replacement.
 #pragma once
 
-#define CCSCHED_API_VERSION 2
+#define CCSCHED_API_VERSION 3
 
 // Error types thrown by the toolkit layers (the Solver itself never
 // throws; it folds failures into SolveResponse::diagnostics).

@@ -115,7 +115,6 @@ private:
          {"arch", "passes", "speeds", "iterations", "warmup", "gantt",
           "policy", "trace", "stats", "format", "graph", "unfold", "replay",
           "faults", "budget-passes", "budget-ms", "patience", "jobs",
-          "remap-backend",
           "seed", "attempts", "profile", "threshold", "gate", "socket",
           "queue-depth", "drain-ms", "max-line-bytes", "default-deadline-ms",
           "full-ms", "compact-ms", "list-ms"})
@@ -171,17 +170,6 @@ RunBudget parse_budget(Args& args) {
     throw UsageError{
         "--budget-passes/--budget-ms/--patience must be >= 0"};
   return budget;
-}
-
-/// `--remap-backend incremental|naive` selects the RemapEngine backend for
-/// commands that run cyclo-compaction (default: the build's default backend).
-RemapBackend parse_backend_flag(Args& args) {
-  const auto spec = args.value("remap-backend");
-  if (!spec) return default_remap_backend();
-  const auto backend = parse_remap_backend(*spec);
-  if (!backend)
-    throw UsageError{"--remap-backend must be incremental or naive"};
-  return *backend;
 }
 
 Topology require_arch(Args& args) {
@@ -660,7 +648,6 @@ int cmd_schedule(Args& args, std::istream& in, std::ostream& out,
   const int passes = args.int_value("passes", 0);
   if (passes > 0) opt.passes = passes;
   opt.budget = parse_budget(args);
-  opt.remap_backend = parse_backend_flag(args);
   opt.startup.pipelined_pes = args.flag("pipelined");
   if (const auto speeds = args.value("speeds")) {
     opt.startup.pe_speeds = parse_speeds(*speeds);
@@ -914,7 +901,6 @@ int cmd_stress(Args& args, std::istream& in, std::ostream& out,
   const int passes = args.int_value("passes", 0);
   if (passes > 0) opt.passes = passes;
   opt.budget = parse_budget(args);
-  opt.remap_backend = parse_backend_flag(args);
   opt.startup.pipelined_pes = args.flag("pipelined");
   if (const auto speeds = args.value("speeds")) {
     opt.startup.pe_speeds = parse_speeds(*speeds);

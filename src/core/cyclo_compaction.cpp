@@ -24,14 +24,13 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
 
   // The engine owns the working graph, retiming, and placements; each pass
   // is rotate / remap / commit, and a failed pass rolls back wholesale.
-  RemapEngine engine(g, comm, options.remap_backend);
+  RemapEngine engine(g, comm);
   engine.bind(startup);
 
-  CycloCompactionResult result{g,  Retiming(g.node_count()),
+  CycloCompactionResult result{g,       Retiming(g.node_count()),
                                startup, startup,
-                               {}, 0,
-                               {}, {},
-                               std::string(remap_backend_name(engine.backend()))};
+                               {},      0,
+                               {},      {}};
 
   // Budget bookkeeping: all three stop conditions are evaluated at pass
   // boundaries so a budgeted run is a deterministic prefix of the

@@ -49,10 +49,6 @@ struct CycloCompactionOptions {
   /// boundaries; a budget stop returns the best-so-far schedule and sets
   /// CycloCompactionResult::stop_reason.  The default budget never fires.
   RunBudget budget;
-  /// Which RemapEngine backend executes the rotate-remap passes.  Both
-  /// backends are placement-for-placement identical (the differential test
-  /// and the certifier enforce it); kNaive is the preserved v1 referee.
-  RemapBackend remap_backend = default_remap_backend();
 };
 
 /// Everything a caller needs to audit a cyclo-compaction run.
@@ -80,11 +76,8 @@ struct CycloCompactionResult {
   /// without-relaxation rollback ended the loop.
   std::string stop_reason;
   /// Remap cost accounting accumulated over every pass (docs/API.md):
-  /// occupancy probes, AN evaluations, and the incremental backend's cache
-  /// hit / bitset word counts (both zero on the naive backend).
+  /// occupancy bitset words examined and AN evaluations.
   RemapStats remap_stats{};
-  /// Name of the backend that produced `best` ("incremental" / "naive").
-  std::string backend;
 
   [[nodiscard]] int startup_length() const { return startup.length(); }
   [[nodiscard]] int best_length() const { return best.length(); }

@@ -4,363 +4,16 @@
 #include <bit>
 #include <limits>
 
-#include "core/validator.hpp"
 #include "util/contracts.hpp"
 
 namespace ccs {
-
-RemapBackend default_remap_backend() noexcept {
-#ifdef CCSCHED_REMAP_BACKEND_NAIVE
-  return RemapBackend::kNaive;
-#else
-  return RemapBackend::kIncremental;
-#endif
-}
-
-std::string_view remap_backend_name(RemapBackend backend) noexcept {
-  switch (backend) {
-    case RemapBackend::kIncremental:
-      return "incremental";
-    case RemapBackend::kNaive:
-      return "naive";
-  }
-  return "incremental";
-}
-
-std::optional<RemapBackend> parse_remap_backend(
-    std::string_view name) noexcept {
-  if (name == "incremental") return RemapBackend::kIncremental;
-  if (name == "naive") return RemapBackend::kNaive;
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// The preserved v1 procedures (the naive referee).
-// ---------------------------------------------------------------------------
-
-int RemapEngine::anticipation(const Csdfg& g, const ScheduleTable& table,
-                              const CommModel& comm, NodeId v, PeId pe,
-                              int target_length) {
-  CCS_EXPECTS(v < g.node_count());
-  CCS_EXPECTS(pe < table.num_pes());
-  long long earliest = 1;
-  for (EdgeId eid : g.in_edges(v)) {
-    const Edge& e = g.edge(eid);
-    if (e.from == v) continue;  // self-loop: constrains PSL, not the slot
-    if (!table.is_placed(e.from)) continue;
-    const long long m = comm.cost(table.pe(e.from), pe, e.volume);
-    const long long bound = table.ce(e.from) + m + 1 -
-                            static_cast<long long>(e.delay) * target_length;
-    earliest = std::max(earliest, bound);
-  }
-  CCS_ENSURES(earliest <= std::numeric_limits<int>::max());
-  return static_cast<int>(earliest);
-}
-
-int RemapEngine::latest_start(const Csdfg& g, const ScheduleTable& table,
-                              const CommModel& comm, NodeId v, PeId pe,
-                              int target_length) {
-  CCS_EXPECTS(v < g.node_count());
-  CCS_EXPECTS(pe < table.num_pes());
-  long long latest = target_length - table.time_on(v, pe) + 1;
-  for (EdgeId eid : g.out_edges(v)) {
-    const Edge& e = g.edge(eid);
-    if (e.to == v) continue;  // self-loop
-    if (!table.is_placed(e.to)) continue;
-    const long long m = comm.cost(pe, table.pe(e.to), e.volume);
-    // CB(w) + k*Lt >= CB(v) + t(v) - 1 + m + 1   =>   CB(v) <= bound.
-    const long long bound = table.cb(e.to) +
-                            static_cast<long long>(e.delay) * target_length -
-                            m - table.time_on(v, pe);
-    latest = std::min(latest, bound);
-  }
-  latest = std::min<long long>(latest, std::numeric_limits<int>::max());
-  latest = std::max<long long>(latest, std::numeric_limits<int>::min() + 1);
-  return static_cast<int>(latest);
-}
-
-namespace {
-
-/// Total communication volume-cost between v (hypothetically on `pe`) and
-/// its placed neighbors — the deterministic tie-break that prefers slots
-/// keeping chatty neighbors close.
-long long neighbor_comm(const Csdfg& g, const ScheduleTable& table,
-                        const CommModel& comm, NodeId v, PeId pe) {
-  long long total = 0;
-  for (EdgeId eid : g.in_edges(v)) {
-    const Edge& e = g.edge(eid);
-    if (e.from != v && table.is_placed(e.from))
-      total += comm.cost(table.pe(e.from), pe, e.volume);
-  }
-  for (EdgeId eid : g.out_edges(v)) {
-    const Edge& e = g.edge(eid);
-    if (e.to != v && table.is_placed(e.to))
-      total += comm.cost(pe, table.pe(e.to), e.volume);
-  }
-  return total;
-}
-
-/// The PSL bound contributed by v's own delay-carrying edges if v sits at
-/// (pe, cb): the smallest cyclic length under which every loop-carried
-/// communication between v and its placed neighbors (and v's self-loops)
-/// fits — ceil((CE + M + 1 - CB) / k) per edge, Lemma 4.3 restricted to v.
-/// Trace-only (the remap_decision "psl" field); never on the untraced path.
-int node_psl_bound(const Csdfg& g, const ScheduleTable& table,
-                   const CommModel& comm, NodeId v, PeId pe, int cb) {
-  const int ce_v = cb + table.time_on(v, pe) - 1;
-  long long bound = 0;
-  const auto fold = [&bound](long long numerator, long long delay) {
-    if (numerator <= 0) return;
-    bound = std::max(bound, (numerator + delay - 1) / delay);
-  };
-  for (EdgeId eid : g.in_edges(v)) {
-    const Edge& e = g.edge(eid);
-    if (e.delay == 0) continue;
-    if (e.from == v) {
-      fold(ce_v + 1 - cb, e.delay);  // self-loop: M(pe, pe) = 0
-    } else if (table.is_placed(e.from)) {
-      fold(table.ce(e.from) + comm.cost(table.pe(e.from), pe, e.volume) + 1 -
-               cb,
-           e.delay);
-    }
-  }
-  for (EdgeId eid : g.out_edges(v)) {
-    const Edge& e = g.edge(eid);
-    if (e.delay == 0 || e.to == v) continue;
-    if (table.is_placed(e.to))
-      fold(ce_v + comm.cost(pe, table.pe(e.to), e.volume) + 1 -
-               table.cb(e.to),
-           e.delay);
-  }
-  return static_cast<int>(
-      std::min<long long>(bound, std::numeric_limits<int>::max()));
-}
-
-/// The worst communication cost any single edge of `g` can incur on a
-/// machine with `num_pes` processors under `comm` — used to bound the
-/// with-relaxation target search.
-long long worst_edge_cost(const Csdfg& g, const CommModel& comm,
-                          std::size_t num_pes) {
-  long long worst = 0;
-  std::size_t max_volume = 1;
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    max_volume = std::max(max_volume, g.edge(e).volume);
-  for (PeId a = 0; a < num_pes; ++a)
-    for (PeId b = 0; b < num_pes; ++b)
-      worst = std::max(worst, static_cast<long long>(comm.cost(a, b, max_volume)));
-  return worst;
-}
-
-/// Replica of ScheduleTable::first_free that counts every occupancy probe —
-/// one per grid cell inspected — into `probes`.  Placement-identical to the
-/// uncounted original; this is the v2 definition of `remap.slots_scanned`
-/// on the naive backend (the incremental backend counts bitset words for
-/// the same query, so the two counters are directly comparable speedups).
-int counted_first_free(const ScheduleTable& table, PeId pe, int earliest,
-                       int duration, long long& probes) {
-  const int span = table.pipelined_pes() ? 1 : duration * table.pe_speed(pe);
-  int cs = std::max(1, earliest);
-  for (;;) {
-    bool free = true;
-    for (int s = cs; s < cs + span; ++s) {
-      ++probes;
-      if (table.occupant(pe, s).has_value()) {
-        free = false;
-        break;
-      }
-    }
-    if (free) return cs;
-    ++cs;
-  }
-}
-
-}  // namespace
-
-RemapResult RemapEngine::try_remap(const Csdfg& g, ScheduleTable& table,
-                                   const CommModel& comm,
-                                   const std::vector<NodeId>& rotated,
-                                   int target_length, RemapSelection selection,
-                                   const ObsContext& obs, RemapStats* tally) {
-  // Place long tasks first; ties broken by node id for determinism.
-  std::vector<NodeId> order = rotated;
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    if (g.node(a).time != g.node(b).time)
-      return g.node(a).time > g.node(b).time;
-    return a < b;
-  });
-
-  // Hot-loop tallies are accumulated locally and flushed once per call so
-  // the per-slot cost with metrics enabled stays a register increment.  The
-  // per-evaluation AN histogram follows the same rule: a local fixed-bucket
-  // accumulator, folded into the profiler once per call, so profiling never
-  // takes a lock inside the slot scan.
-  long long an_evaluations = 0;
-  long long slots_scanned = 0;
-  const bool profiled = obs.profiling();
-  const ObsSpan an_span = obs.span("remap.an");
-  SpanHistogram an_hist;
-  const auto flush_profile = [&] {
-    if (profiled) obs.profiler->fold("an.eval", an_hist);
-  };
-  const auto flush_tally = [&] {
-    if (tally != nullptr) {
-      tally->an_evaluations += an_evaluations;
-      tally->slots_scanned += slots_scanned;
-    }
-  };
-
-  for (NodeId v : order) {
-    CCS_ASSERT(!table.is_placed(v));
-    bool found = false;
-    int best_cb = 0;
-    long long best_comm = 0;
-    PeId best_pe = 0;
-    int best_lo = 0;
-    int best_hi = 0;
-
-    for (PeId pe = 0; pe < table.num_pes(); ++pe) {
-      int lo;
-      if (profiled) {
-        const std::uint64_t t0 = span_now_ns();
-        lo = anticipation(g, table, comm, v, pe, target_length);
-        an_hist.add(span_now_ns() - t0);
-      } else {
-        lo = anticipation(g, table, comm, v, pe, target_length);
-      }
-      ++an_evaluations;
-      const int hi = selection == RemapSelection::kBidirectional
-                         ? latest_start(g, table, comm, v, pe, target_length)
-                         : target_length - table.time_on(v, pe) + 1;
-      if (lo > hi) continue;
-      const int cb =
-          counted_first_free(table, pe, lo, g.node(v).time, slots_scanned);
-      if (cb > hi) continue;
-      const long long cc = neighbor_comm(g, table, comm, v, pe);
-      if (!found || cb < best_cb || (cb == best_cb && cc < best_comm)) {
-        found = true;
-        best_cb = cb;
-        best_comm = cc;
-        best_pe = pe;
-        best_lo = lo;
-        best_hi = hi;
-      }
-    }
-    if (!found) {
-      flush_profile();
-      flush_tally();
-      if (obs.metrics != nullptr) {
-        obs.metrics->add("an.evaluations", an_evaluations);
-        obs.metrics->add("remap.slots_scanned", slots_scanned);
-        obs.count("remap.placement_failures");
-      }
-      if (obs.tracing()) {
-        RemapDecisionEvent ev;
-        ev.node = v;
-        ev.accepted = false;
-        ev.slots_scanned = static_cast<int>(table.num_pes());
-        ev.reason = "no-feasible-slot";
-        obs.emit(ev);
-      }
-      return {false, table.length()};
-    }
-    if (obs.tracing()) {
-      RemapDecisionEvent ev;
-      ev.node = v;
-      ev.accepted = true;
-      ev.pe = best_pe;
-      ev.cb = best_cb;
-      ev.an = best_lo;
-      ev.latest = best_hi;
-      ev.psl = node_psl_bound(g, table, comm, v, best_pe, best_cb);
-      ev.slots_scanned = static_cast<int>(table.num_pes());
-      ev.reason = "placed";
-      obs.emit(ev);
-    }
-    table.place(v, best_pe, best_cb);
-    obs.count("remap.placements");
-  }
-  flush_profile();
-  flush_tally();
-  if (obs.metrics != nullptr) {
-    obs.metrics->add("an.evaluations", an_evaluations);
-    obs.metrics->add("remap.slots_scanned", slots_scanned);
-  }
-
-  // The remap may have vacated the leading rows; pull everything up (a
-  // uniform shift preserves every constraint).
-  table.set_length(std::max(table.length(), table.occupied_length()));
-  table.compact_leading();
-
-  // PSL padding: the smallest cyclic length satisfying every loop-carried
-  // communication ("the algorithm will assign empty control steps to
-  // compensate the communication requirements").
-  const int needed = min_feasible_length(g, table, comm);
-  obs.count("psl.evaluations");
-  if (needed < 0) {
-    // An intra-iteration constraint is broken — only reachable with
-    // kAnticipationOnly, whose successor dependences are unchecked.
-    obs.count("psl.rejections");
-    obs.emit(PslPadEvent{needed, table.length()});
-    return {false, table.length()};
-  }
-  table.set_length(std::max(table.occupied_length(), needed));
-  obs.emit(PslPadEvent{needed, table.length()});
-  return {true, table.length()};
-}
-
-std::optional<ScheduleTable> RemapEngine::remap_rotated(
-    const Csdfg& g, const ScheduleTable& table, const CommModel& comm,
-    const std::vector<NodeId>& rotated, int previous_length,
-    RemapPolicy policy, RemapSelection selection, const ObsContext& obs,
-    RemapStats* tally) {
-  CCS_EXPECTS(previous_length >= 1);
-  const ScopedTimer timer(obs.metrics, "time.remap");
-  const ObsSpan remap_span = obs.span("remap");
-
-  const int first_target = std::max(1, previous_length - 1);
-  int last_target = previous_length;
-  if (policy == RemapPolicy::kWithRelaxation) {
-    // A generous sufficient target: the whole shifted table, every rotated
-    // task serialized after it, and one worst-case transfer of slack.  If
-    // even this fails, the input table was not a valid schedule.
-    long long cap = previous_length + 1 +
-                    worst_edge_cost(g, comm, table.num_pes());
-    int max_speed = 1;
-    for (PeId p = 0; p < table.num_pes(); ++p)
-      max_speed = std::max(max_speed, table.pe_speed(p));
-    for (NodeId v : rotated) cap += g.node(v).time * max_speed;
-    last_target =
-        static_cast<int>(std::min<long long>(cap, std::numeric_limits<int>::max() / 2));
-  }
-
-  for (int target = first_target; target <= last_target; ++target) {
-    ScheduleTable attempt = table;
-    if (attempt.length() > target) continue;
-    const ObsSpan target_span = obs.span("remap.target");
-    obs.count("remap.target_attempts");
-    obs.emit(RemapTargetEvent{target, target > previous_length});
-    RemapResult r = try_remap(g, attempt, comm, rotated, target, selection,
-                              obs, tally);
-    if (!r.success) continue;
-    if (policy == RemapPolicy::kWithoutRelaxation &&
-        r.length > previous_length) {
-      // The placement succeeded but the PSL padding overshot the budget.
-      obs.count("psl.rejections");
-      continue;
-    }
-    return attempt;
-  }
-  return std::nullopt;
-}
 
 // ---------------------------------------------------------------------------
 // Engine lifecycle.
 // ---------------------------------------------------------------------------
 
-RemapEngine::RemapEngine(const Csdfg& g, const CommModel& comm,
-                         RemapBackend backend)
+RemapEngine::RemapEngine(const Csdfg& g, const CommModel& comm)
     : comm_(&comm),
-      backend_(backend),
       base_graph_(g),
       num_nodes_(g.node_count()),
       graph_(g),
@@ -392,7 +45,6 @@ RemapEngine::RemapEngine(const Csdfg& g, const CommModel& comm,
 
 void RemapEngine::bind(const ScheduleTable& table) {
   CCS_EXPECTS(table.node_count() == num_nodes_);
-  CCS_EXPECTS(table.complete());
   num_pes_ = table.num_pes();
   pipelined_ = table.pipelined_pes();
   speeds_.resize(num_pes_);
@@ -405,6 +57,13 @@ void RemapEngine::bind(const ScheduleTable& table) {
     for (PeId a = 0; a < num_pes_; ++a)
       for (PeId b = 0; b < num_pes_; ++b)
         cost_[(vi * num_pes_ + a) * num_pes_ + b] = comm_->cost(a, b, vols_[vi]);
+  std::size_t max_volume = 1;
+  if (!vols_.empty()) max_volume = std::max(max_volume, vols_.back());
+  worst_cost_ = 0;
+  for (PeId a = 0; a < num_pes_; ++a)
+    for (PeId b = 0; b < num_pes_; ++b)
+      worst_cost_ =
+          std::max<long long>(worst_cost_, comm_->cost(a, b, max_volume));
   // Reset the working graph to the construction delays.
   for (EdgeId e = 0; e < graph_.edge_count(); ++e)
     if (graph_.edge(e).delay != base_graph_.edge(e).delay)
@@ -446,17 +105,6 @@ std::vector<NodeId> RemapEngine::rotate() {
   return rotated;
 }
 
-std::optional<int> RemapEngine::remap(const std::vector<NodeId>& rotated,
-                                      int previous_length, RemapPolicy policy,
-                                      RemapSelection selection,
-                                      const ObsContext& obs) {
-  CCS_EXPECTS(bound_);
-  CCS_EXPECTS(previous_length >= 1);
-  if (backend_ == RemapBackend::kNaive)
-    return remap_naive(rotated, previous_length, policy, selection, obs);
-  return remap_incremental(rotated, previous_length, policy, selection, obs);
-}
-
 void RemapEngine::commit() {
   CCS_EXPECTS(bound_);
   committed_.placed = placed_;
@@ -487,9 +135,9 @@ void RemapEngine::rollback() {
 
 ScheduleTable RemapEngine::table() const {
   CCS_EXPECTS(bound_);
-  CCS_EXPECTS(complete());
   ScheduleTable t(graph_, speeds_, pipelined_);
-  for (NodeId v = 0; v < num_nodes_; ++v) t.place(v, wpe_[v], lcb(v));
+  for (NodeId v = 0; v < num_nodes_; ++v)
+    if (placed_[v] != 0) t.place(v, wpe_[v], lcb(v));
   t.set_length(length_);
   return t;
 }
@@ -732,253 +380,259 @@ int RemapEngine::min_feasible_soa() const {
 }
 
 // ---------------------------------------------------------------------------
-// The backends.
+// Remapping.
 // ---------------------------------------------------------------------------
 
-std::optional<int> RemapEngine::remap_naive(const std::vector<NodeId>& rotated,
-                                            int previous_length,
-                                            RemapPolicy policy,
-                                            RemapSelection selection,
-                                            const ObsContext& obs) {
-  // Materialize the working state as a table and delegate to the preserved
-  // v1 pass — the referee path the incremental backend is certified against.
-  ScheduleTable shifted(graph_, speeds_, pipelined_);
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (placed_[v] != 0) shifted.place(v, wpe_[v], lcb(v));
-  shifted.set_length(std::max(shifted.length(), length_));
-  std::optional<ScheduleTable> result =
-      remap_rotated(graph_, shifted, *comm_, rotated, previous_length, policy,
-                    selection, obs, &stats_);
-  if (!result.has_value()) return std::nullopt;
-  import_table(*result);
-  return length_;
-}
-
-std::optional<int> RemapEngine::remap_incremental(
-    const std::vector<NodeId>& rotated, int previous_length,
-    RemapPolicy policy, RemapSelection selection, const ObsContext& obs) {
+std::optional<int> RemapEngine::remap(const std::vector<NodeId>& rotated,
+                                      int previous_length, RemapPolicy policy,
+                                      RemapSelection selection,
+                                      const ObsContext& obs) {
+  CCS_EXPECTS(bound_);
+  CCS_EXPECTS(previous_length >= 1);
   const ScopedTimer timer(obs.metrics, "time.remap");
   const ObsSpan remap_span = obs.span("remap");
-
-  // Place long tasks first; ties broken by node id for determinism.
-  std::vector<NodeId> order = rotated;
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    if (times_[a] != times_[b]) return times_[a] > times_[b];
-    return a < b;
-  });
-  build_static_caches(rotated, selection);
+  prepare(rotated, selection);
 
   const int first_target = std::max(1, previous_length - 1);
   int last_target = previous_length;
   if (policy == RemapPolicy::kWithRelaxation) {
-    // Same generous sufficient target as the v1 pass.
-    long long cap =
-        previous_length + 1 + worst_edge_cost(graph_, *comm_, num_pes_);
+    // A generous sufficient target: the whole shifted table, every rotated
+    // task serialized after it, and one worst-case transfer of slack.  If
+    // even this fails, the input table was not a valid schedule.
+    long long cap = previous_length + 1 + worst_cost_;
     int max_speed = 1;
     for (PeId p = 0; p < num_pes_; ++p)
       max_speed = std::max(max_speed, speeds_[p]);
-    for (NodeId v : rotated) cap += graph_.node(v).time * max_speed;
+    for (NodeId v : rotated) cap += times_[v] * max_speed;
     last_target = static_cast<int>(
         std::min<long long>(cap, std::numeric_limits<int>::max() / 2));
   }
 
   const int base_origin = origin_;
   const int base_length = length_;
-  const auto unwind = [&] {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it)
-      unplace_working(*it);
-    undo_.clear();
-    origin_ = base_origin;
-    length_ = base_length;
-  };
-
   for (int target = first_target; target <= last_target; ++target) {
     if (length_ > target) continue;
     const ObsSpan target_span = obs.span("remap.target");
     obs.count("remap.target_attempts");
     obs.emit(RemapTargetEvent{target, target > previous_length});
-
-    undo_.clear();
-    for (NodeId v : rotated) {
-      dyn_an_[v].clear();
-      dyn_lat_[v].clear();
-      dyn_comm_[v].clear();
+    const std::optional<int> length = attempt(target, selection, obs);
+    if (!length) continue;
+    if (policy == RemapPolicy::kWithoutRelaxation &&
+        *length > previous_length) {
+      // The placement succeeded but the PSL padding overshot the budget.
+      obs.count("psl.rejections");
+      unwind(base_origin, base_length);
+      continue;
     }
-    // Per-PE first-free memo, valid for the duration of one target attempt.
-    // Within an attempt occupancy only ever fills, so first_free(pe, lo, s)
-    // is monotone in lo and a cached answer (lo0 -> cb0 for span s) stays
-    // exact for every query with the same span and lo in [lo0, cb0] until a
-    // placement lands on that PE.  Memo hits answer with zero occupancy
-    // probes, which is where most of the slots_scanned reduction comes from
-    // on short schedules (one word already covers the whole table).
-    struct FreeMemo {
-      int lo = 0;
-      int cb = -1;
-      int span = -1;
-    };
-    std::vector<FreeMemo> free_memo(num_pes_);
-    const auto memo_first_free = [&](PeId pe, int lo, int span,
-                                     long long& probes) {
-      FreeMemo& m = free_memo[pe];
-      if (m.span == span && lo >= m.lo && lo <= m.cb) return m.cb;
-      const int cb = bitset_first_free(pe, lo, span, probes);
-      m = FreeMemo{lo, cb, span};
-      return cb;
-    };
-    long long an_evaluations = 0;
-    long long word_probes = 0;
-    const bool profiled = obs.profiling();
-    const ObsSpan an_span = obs.span("remap.an");
-    SpanHistogram an_hist;
-    const auto flush_tallies = [&] {
-      if (profiled) obs.profiler->fold("an.eval", an_hist);
-      stats_.an_evaluations += an_evaluations;
-      stats_.an_cache_hits += an_evaluations;
-      stats_.slots_scanned += word_probes;
-      stats_.bitset_probes += word_probes;
-      if (obs.metrics != nullptr) {
-        obs.metrics->add("an.evaluations", an_evaluations);
-        obs.metrics->add("remap.slots_scanned", word_probes);
-        obs.metrics->add("remap.an_cache_hit", an_evaluations);
-        obs.metrics->add("remap.bitset_probe", word_probes);
-      }
-    };
+    return length;
+  }
+  return std::nullopt;
+}
 
-    bool placed_all = true;
-    for (NodeId v : order) {
-      CCS_ASSERT(placed_[v] == 0);
-      bool found = false;
-      int best_cb = 0;
-      long long best_comm = 0;
-      PeId best_pe = 0;
-      int best_lo = 0;
-      int best_hi = 0;
+std::optional<int> RemapEngine::place(const std::vector<NodeId>& tasks,
+                                      int target, RemapSelection selection,
+                                      const ObsContext& obs) {
+  CCS_EXPECTS(bound_);
+  CCS_EXPECTS(target >= 1);
+  prepare(tasks, selection);
+  return attempt(target, selection, obs);
+}
 
-      for (PeId pe = 0; pe < num_pes_; ++pe) {
-        long long lo_bound;
-        if (profiled) {
-          const std::uint64_t t0 = span_now_ns();
-          lo_bound = eval_an(v, pe, target);
-          an_hist.add(span_now_ns() - t0);
-        } else {
-          lo_bound = eval_an(v, pe, target);
-        }
-        ++an_evaluations;
-        CCS_ASSERT(lo_bound <= std::numeric_limits<int>::max());
-        const int lo = static_cast<int>(lo_bound);
-        // A slot on this PE starts at first_free(lo) >= lo; once a winner
-        // with best_cb < lo exists this PE cannot beat it on the primary
-        // key, and best_cb only ever decreases — skip the probes.
-        if (found && lo > best_cb) continue;
-        const int hi =
-            selection == RemapSelection::kBidirectional
-                ? static_cast<int>(eval_latest(v, pe, target))
-                : target - time_on(v, pe) + 1;
-        if (lo > hi) continue;
-        const int cb = memo_first_free(pe, lo, span_of(v, pe), word_probes);
-        if (cb > hi) continue;
-        const long long cc = eval_neighbor_comm(v, pe);
-        if (!found || cb < best_cb || (cb == best_cb && cc < best_comm)) {
-          found = true;
-          best_cb = cb;
-          best_comm = cc;
-          best_pe = pe;
-          best_lo = lo;
-          best_hi = hi;
-        }
+void RemapEngine::prepare(const std::vector<NodeId>& tasks,
+                          RemapSelection selection) {
+  std::size_t unplaced = 0;
+  for (NodeId v = 0; v < num_nodes_; ++v)
+    if (placed_[v] == 0) ++unplaced;
+  CCS_EXPECTS(tasks.size() == unplaced);
+  for (NodeId v : tasks) CCS_EXPECTS(v < num_nodes_ && placed_[v] == 0);
+  // Place long tasks first; ties broken by node id for determinism.
+  order_ = tasks;
+  std::stable_sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
+    if (times_[a] != times_[b]) return times_[a] > times_[b];
+    return a < b;
+  });
+  build_static_caches(tasks, selection);
+}
+
+void RemapEngine::unwind(int origin, int length) {
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it)
+    unplace_working(*it);
+  undo_.clear();
+  origin_ = origin;
+  length_ = length;
+}
+
+std::optional<int> RemapEngine::attempt(int target, RemapSelection selection,
+                                        const ObsContext& obs) {
+  const int base_origin = origin_;
+  const int base_length = length_;
+  undo_.clear();
+  for (NodeId v : order_) {
+    dyn_an_[v].clear();
+    dyn_lat_[v].clear();
+    dyn_comm_[v].clear();
+  }
+  // Per-PE first-free memo, valid for the duration of one attempt.  Within
+  // an attempt occupancy only ever fills, so first_free(pe, lo, s) is
+  // monotone in lo and a cached answer (lo0 -> cb0 for span s) stays exact
+  // for every query with the same span and lo in [lo0, cb0] until a
+  // placement lands on that PE.  Memo hits answer with zero occupancy
+  // probes, which is where most of the slots_scanned saving comes from on
+  // short schedules (one word already covers the whole table).
+  free_memo_.assign(num_pes_, FreeMemo{});
+  const auto memo_first_free = [&](PeId pe, int lo, int span,
+                                   long long& probes) {
+    FreeMemo& m = free_memo_[pe];
+    if (m.span == span && lo >= m.lo && lo <= m.cb) return m.cb;
+    const int cb = bitset_first_free(pe, lo, span, probes);
+    m = FreeMemo{lo, cb, span};
+    return cb;
+  };
+  // Hot-loop tallies are accumulated locally and flushed once per attempt
+  // so the per-slot cost with metrics enabled stays a register increment.
+  // The per-evaluation AN histogram follows the same rule: a local
+  // fixed-bucket accumulator, folded into the profiler once per attempt,
+  // so profiling never takes a lock inside the slot scan.
+  long long an_evaluations = 0;
+  long long word_probes = 0;
+  const bool profiled = obs.profiling();
+  const ObsSpan an_span = obs.span("remap.an");
+  SpanHistogram an_hist;
+  const auto flush_tallies = [&] {
+    if (profiled) obs.profiler->fold("an.eval", an_hist);
+    stats_.an_evaluations += an_evaluations;
+    stats_.slots_scanned += word_probes;
+    if (obs.metrics != nullptr) {
+      obs.metrics->add("an.evaluations", an_evaluations);
+      obs.metrics->add("remap.slots_scanned", word_probes);
+    }
+  };
+
+  for (NodeId v : order_) {
+    CCS_ASSERT(placed_[v] == 0);
+    bool found = false;
+    int best_cb = 0;
+    long long best_comm = 0;
+    PeId best_pe = 0;
+    int best_lo = 0;
+    int best_hi = 0;
+
+    for (PeId pe = 0; pe < num_pes_; ++pe) {
+      long long lo_bound;
+      if (profiled) {
+        const std::uint64_t t0 = span_now_ns();
+        lo_bound = eval_an(v, pe, target);
+        an_hist.add(span_now_ns() - t0);
+      } else {
+        lo_bound = eval_an(v, pe, target);
       }
-      if (!found) {
-        flush_tallies();
-        if (obs.metrics != nullptr) obs.count("remap.placement_failures");
-        if (obs.tracing()) {
-          RemapDecisionEvent ev;
-          ev.node = v;
-          ev.accepted = false;
-          ev.slots_scanned = static_cast<int>(num_pes_);
-          ev.reason = "no-feasible-slot";
-          obs.emit(ev);
-        }
-        placed_all = false;
-        break;
+      ++an_evaluations;
+      CCS_ASSERT(lo_bound <= std::numeric_limits<int>::max());
+      const int lo = static_cast<int>(lo_bound);
+      // A slot on this PE starts at first_free(lo) >= lo; once a winner
+      // with best_cb < lo exists this PE cannot beat it on the primary
+      // key, and best_cb only ever decreases — skip the probes.
+      if (found && lo > best_cb) continue;
+      const int hi = selection == RemapSelection::kBidirectional
+                         ? static_cast<int>(eval_latest(v, pe, target))
+                         : target - time_on(v, pe) + 1;
+      if (lo > hi) continue;
+      const int cb = memo_first_free(pe, lo, span_of(v, pe), word_probes);
+      if (cb > hi) continue;
+      const long long cc = eval_neighbor_comm(v, pe);
+      if (!found || cb < best_cb || (cb == best_cb && cc < best_comm)) {
+        found = true;
+        best_cb = cb;
+        best_comm = cc;
+        best_pe = pe;
+        best_lo = lo;
+        best_hi = hi;
       }
+    }
+    if (!found) {
+      flush_tallies();
+      if (obs.metrics != nullptr) obs.count("remap.placement_failures");
       if (obs.tracing()) {
         RemapDecisionEvent ev;
         ev.node = v;
-        ev.accepted = true;
-        ev.pe = best_pe;
-        ev.cb = best_cb;
-        ev.an = best_lo;
-        ev.latest = best_hi;
-        ev.psl = node_psl_bound_soa(v, best_pe, best_cb);
+        ev.accepted = false;
         ev.slots_scanned = static_cast<int>(num_pes_);
-        ev.reason = "placed";
+        ev.reason = "no-feasible-slot";
         obs.emit(ev);
       }
-      place_working(v, best_pe, best_cb);
-      free_memo[best_pe] = FreeMemo{};  // occupancy changed on this PE only
-      undo_.push_back(v);
-      obs.count("remap.placements");
-      // Delta updates: placing v changes the cached bounds of exactly the
-      // unplaced (i.e. still-rotated) endpoints of v's own edges — no other
-      // node's AN / latest / comm tie-break can move (docs/ALGORITHM.md).
-      const long long v_ce = lce(v);
-      const long long v_cb = lcb(v);
-      for (EdgeId eid : graph_.out_edges(v)) {
-        const Edge& e = graph_.edge(eid);
-        if (e.to == v || placed_[e.to] != 0) continue;
-        dyn_an_[e.to].push_back(
-            DynAn{v_ce + 1, e.delay, best_pe, evol_idx_[eid]});
-        dyn_comm_[e.to].push_back(DynComm{best_pe, evol_idx_[eid], true});
-      }
-      for (EdgeId eid : graph_.in_edges(v)) {
-        const Edge& e = graph_.edge(eid);
-        if (e.from == v || placed_[e.from] != 0) continue;
-        if (selection == RemapSelection::kBidirectional)
-          dyn_lat_[e.from].push_back(
-              DynLat{v_cb, e.delay, best_pe, evol_idx_[eid]});
-        dyn_comm_[e.from].push_back(DynComm{best_pe, evol_idx_[eid], false});
-      }
+      unwind(base_origin, base_length);
+      return std::nullopt;
     }
-    if (!placed_all) {
-      unwind();
-      continue;
+    if (obs.tracing()) {
+      RemapDecisionEvent ev;
+      ev.node = v;
+      ev.accepted = true;
+      ev.pe = best_pe;
+      ev.cb = best_cb;
+      ev.an = best_lo;
+      ev.latest = best_hi;
+      ev.psl = node_psl_bound_soa(v, best_pe, best_cb);
+      ev.slots_scanned = static_cast<int>(num_pes_);
+      ev.reason = "placed";
+      obs.emit(ev);
     }
-    flush_tallies();
-
-    // Leading compaction: with every task placed, shifting is just an
-    // origin bump of (min CB - 1).
-    length_ = std::max(length_, occupied_logical());
-    if (num_nodes_ > 0) {
-      int min_cb = std::numeric_limits<int>::max();
-      for (NodeId v = 0; v < num_nodes_; ++v)
-        min_cb = std::min(min_cb, lcb(v));
-      const int removed = min_cb - 1;
-      if (removed > 0) {
-        origin_ += removed;
-        length_ -= removed;
-      }
+    place_working(v, best_pe, best_cb);
+    free_memo_[best_pe] = FreeMemo{};  // occupancy changed on this PE only
+    undo_.push_back(v);
+    obs.count("remap.placements");
+    // Delta updates: placing v changes the cached bounds of exactly the
+    // unplaced (i.e. still-rotated) endpoints of v's own edges — no other
+    // node's AN / latest / comm tie-break can move (docs/ALGORITHM.md).
+    const long long v_ce = lce(v);
+    const long long v_cb = lcb(v);
+    for (EdgeId eid : graph_.out_edges(v)) {
+      const Edge& e = graph_.edge(eid);
+      if (e.to == v || placed_[e.to] != 0) continue;
+      dyn_an_[e.to].push_back(
+          DynAn{v_ce + 1, e.delay, best_pe, evol_idx_[eid]});
+      dyn_comm_[e.to].push_back(DynComm{best_pe, evol_idx_[eid], true});
     }
-
-    const int needed = min_feasible_soa();
-    obs.count("psl.evaluations");
-    if (needed < 0) {
-      obs.count("psl.rejections");
-      obs.emit(PslPadEvent{needed, length_});
-      unwind();
-      continue;
+    for (EdgeId eid : graph_.in_edges(v)) {
+      const Edge& e = graph_.edge(eid);
+      if (e.from == v || placed_[e.from] != 0) continue;
+      if (selection == RemapSelection::kBidirectional)
+        dyn_lat_[e.from].push_back(
+            DynLat{v_cb, e.delay, best_pe, evol_idx_[eid]});
+      dyn_comm_[e.from].push_back(DynComm{best_pe, evol_idx_[eid], false});
     }
-    length_ = std::max(occupied_logical(), needed);
-    obs.emit(PslPadEvent{needed, length_});
-    if (policy == RemapPolicy::kWithoutRelaxation &&
-        length_ > previous_length) {
-      obs.count("psl.rejections");
-      unwind();
-      continue;
-    }
-    undo_.clear();
-    return length_;
   }
-  return std::nullopt;
+  flush_tallies();
+
+  // Leading compaction: with every task placed, shifting is just an
+  // origin bump of (min CB - 1).
+  length_ = std::max(length_, occupied_logical());
+  if (num_nodes_ > 0) {
+    int min_cb = std::numeric_limits<int>::max();
+    for (NodeId v = 0; v < num_nodes_; ++v)
+      min_cb = std::min(min_cb, lcb(v));
+    const int removed = min_cb - 1;
+    if (removed > 0) {
+      origin_ += removed;
+      length_ -= removed;
+    }
+  }
+
+  // PSL padding: the smallest cyclic length satisfying every loop-carried
+  // communication ("the algorithm will assign empty control steps to
+  // compensate the communication requirements").
+  const int needed = min_feasible_soa();
+  obs.count("psl.evaluations");
+  if (needed < 0) {
+    // An intra-iteration constraint is broken — only reachable with
+    // kAnticipationOnly, whose successor dependences are unchecked.
+    obs.count("psl.rejections");
+    obs.emit(PslPadEvent{needed, length_});
+    unwind(base_origin, base_length);
+    return std::nullopt;
+  }
+  length_ = std::max(occupied_logical(), needed);
+  obs.emit(PslPadEvent{needed, length_});
+  return length_;
 }
 
 }  // namespace ccs

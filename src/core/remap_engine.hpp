@@ -1,4 +1,4 @@
-// ccsched — the incremental remap engine (API v2).
+// ccsched — the remap engine.
 //
 // The remapping phase (Definitions 4.2/4.3, Lemmas 4.2/4.3) is the hot path
 // of cyclo-compaction: for every rotated task v, every candidate processor
@@ -7,10 +7,8 @@
 //   AN(v, p_j) = max(1, max_i { CE(u_i) + M(PE(u_i), p_j, c(e_i)) + 1
 //                               - k_i * L_target })
 //
-// bounds the earliest feasible start step.  The v1 surface (core/remap.hpp)
-// recomputed AN from scratch for every (node, processor, target) probe and
-// walked the schedule grid cell by cell for every slot test.  RemapEngine
-// keeps the state those probes consult *incrementally*:
+// bounds the earliest feasible start step.  RemapEngine keeps the state
+// those probes consult *incrementally* instead of recomputing it per probe:
 //
 //  * per-PE occupancy bitsets (one word per 64 control steps) make the
 //    slot-free test a handful of word probes instead of a cell walk;
@@ -23,10 +21,10 @@
 //    the scheduler inner loop, with an origin offset so the post-rotation
 //    uniform shift is a single integer increment.
 //
-// Lifecycle (the api_redesign core):
+// Lifecycle:
 //
-//     RemapEngine engine(g, comm);           // backend defaults per build
-//     engine.bind(startup_table);            // import a complete schedule
+//     RemapEngine engine(g, comm);
+//     engine.bind(startup_table);            // import a schedule
 //     for (pass ...) {
 //       auto rotated = engine.rotate();      // Def. 4.1 + retiming r(J)+=1
 //       auto len = engine.remap(rotated, previous, policy, selection, obs);
@@ -34,16 +32,15 @@
 //     }
 //     ScheduleTable best = engine.table();
 //
-// The naive path stays as the referee: RemapBackend::kNaive routes remap()
-// through the preserved v1 code (the statics below) and re-imports the
-// result, so the fast path can never silently change results — the two
-// backends are placement-for-placement identical and the differential test
-// (tests/test_remap_engine.cpp) plus the CCS-S certifier enforce it.
+// bind() also accepts a partial table; place() then fills in the unplaced
+// tasks at one fixed target (the repair ladder's remap rung).  The v1
+// pass this engine replaced lives on in tests/ as the differential referee
+// (tests/remap_referee.hpp); the engine must stay placement-for-placement
+// identical to it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "arch/comm_model.hpp"
@@ -71,45 +68,14 @@ enum class RemapSelection {
   kAnticipationOnly,
 };
 
-/// Result of one remapping attempt.
-struct RemapResult {
-  bool success = false;  ///< Every rotated task was placed.
-  int length = 0;        ///< Final table length (occupied + PSL padding).
-};
-
-/// Which implementation backs a RemapEngine.
-enum class RemapBackend {
-  /// Bitset slot tests + delta-maintained AN caches (the default).
-  kIncremental,
-  /// The preserved v1 code path — the referee the fast path is certified
-  /// against.  Placement-for-placement identical to kIncremental.
-  kNaive,
-};
-
-/// The build's default backend: kIncremental unless the tree was configured
-/// with -DCCSCHED_REMAP_BACKEND=naive.
-[[nodiscard]] RemapBackend default_remap_backend() noexcept;
-
-/// Stable name ("incremental" / "naive") for reports and SolveResponse.
-[[nodiscard]] std::string_view remap_backend_name(RemapBackend backend) noexcept;
-
-/// Parses a backend name; nullopt on anything else.
-[[nodiscard]] std::optional<RemapBackend> parse_remap_backend(
-    std::string_view name) noexcept;
-
-/// Remap cost accounting, accumulated across every remap() call of one
-/// engine (and mirrored into the remap.* counters when an ObsContext with
-/// metrics is supplied).  `slots_scanned` counts occupancy probes — grid
-/// cells inspected on the naive backend, 64-step bitset words on the
-/// incremental one — so the ratio between backends is the slot-test
-/// speedup.  `an_cache_hits` counts AN evaluations answered from the
-/// delta-maintained cache (always 0 on the naive backend);
-/// `bitset_probes` counts bitset word fetches (always 0 on naive).
+/// Remap cost accounting, accumulated across every remap() / place() call
+/// of one engine (and mirrored into the remap.* / an.* counters when an
+/// ObsContext with metrics is supplied).  `slots_scanned` counts the
+/// 64-step occupancy bitset words examined; `an_evaluations` counts
+/// Lemma 4.2 anticipation evaluations.
 struct RemapStats {
   long long slots_scanned = 0;
   long long an_evaluations = 0;
-  long long an_cache_hits = 0;
-  long long bitset_probes = 0;
 };
 
 /// The incremental remap engine.  One engine serves one (graph, machine)
@@ -123,20 +89,20 @@ class RemapEngine {
  public:
   /// Captures the graph (structure + current delays) and the communication
   /// model.  The model must outlive the engine.
-  RemapEngine(const Csdfg& g, const CommModel& comm,
-              RemapBackend backend = default_remap_backend());
+  RemapEngine(const Csdfg& g, const CommModel& comm);
 
-  /// Imports a complete schedule of the construction graph: machine shape
-  /// (PE count, speeds, pipelining) and every placement.  Resets the
-  /// engine's graph delays and retiming to the construction state and
-  /// commits.  May be called again to restart from a different table.
+  /// Imports a schedule of the construction graph: machine shape (PE
+  /// count, speeds, pipelining), every placement and the length.  The
+  /// table may be partial; place() fills in the rest.  Resets the engine's
+  /// graph delays and retiming to the construction state and commits.  May
+  /// be called again to restart from a different table.
   void bind(const ScheduleTable& table);
 
   /// Rotates the first row (Definition 4.1): returns the tasks with
   /// CB == 1 (ascending id), removes them, applies the retiming
   /// r(J) += 1 to the working graph, and shifts every remaining task one
   /// step earlier.  Throws GraphError (engine untouched) if the retiming
-  /// would be illegal.  Mirrors rotate_first_row exactly.
+  /// would be illegal.  Requires every task placed.
   std::vector<NodeId> rotate();
 
   /// One full remapping pass per Definition 4.2 over the working state:
@@ -144,12 +110,27 @@ class RemapEngine {
   /// relaxation) successively longer targets.  On success the working
   /// state holds the new complete schedule and its length is returned; on
   /// failure returns nullopt with the working state back at the
-  /// post-rotation base.  Emits the same events / counters / spans as the
-  /// v1 remap_rotated, plus remap.an_cache_hit / remap.bitset_probe.
+  /// post-rotation base.  `obs` receives remap_target / remap_decision /
+  /// psl_pad events, the remap.* / an.evaluations / psl.* counters and the
+  /// remap / remap.target / remap.an spans (docs/OBSERVABILITY.md).
   [[nodiscard]] std::optional<int> remap(const std::vector<NodeId>& rotated,
                                          int previous_length,
                                          RemapPolicy policy,
                                          RemapSelection selection,
+                                         const ObsContext& obs = {});
+
+  /// One placement attempt at exactly `target`: places every task of
+  /// `tasks` (which must be exactly the unplaced tasks) with each CE
+  /// within `target`, pulls the schedule up over vacated leading rows,
+  /// then pads the length to the PSL bound (Lemma 4.3).  Placement order:
+  /// longer execution time first, node id as tie-break.  Slot choice:
+  /// smallest start step, then smallest total communication to placed
+  /// neighbors, then lowest processor id.  Returns the padded length with
+  /// the working state complete, or nullopt with the working state
+  /// unchanged.  Emits remap_decision / psl_pad events and the remap.* /
+  /// an.evaluations / psl.* counters, but no remap_target event.
+  [[nodiscard]] std::optional<int> place(const std::vector<NodeId>& tasks,
+                                         int target, RemapSelection selection,
                                          const ObsContext& obs = {});
 
   /// Accepts the working state as the new committed state.
@@ -161,7 +142,6 @@ class RemapEngine {
 
   /// True once bind() has run.
   [[nodiscard]] bool bound() const noexcept { return bound_; }
-  [[nodiscard]] RemapBackend backend() const noexcept { return backend_; }
   [[nodiscard]] const RemapStats& stats() const noexcept { return stats_; }
 
   /// Working schedule length.
@@ -173,42 +153,9 @@ class RemapEngine {
   /// Total retiming from the construction graph to graph().
   [[nodiscard]] const Retiming& retiming() const noexcept { return retiming_; }
 
-  /// Materializes the working state as a ScheduleTable (requires every
-  /// task placed, i.e. after a successful remap()/bind()).
+  /// Materializes the working state as a ScheduleTable of length(); tasks
+  /// rotated out and not yet remapped are left unplaced.
   [[nodiscard]] ScheduleTable table() const;
-
-  // --- The preserved v1 procedures (the naive referee). -------------------
-  //
-  // These are the exact pre-engine implementations; the deprecated free
-  // functions in core/remap.hpp forward here.  `tally`, when non-null,
-  // accumulates the RemapStats the engine reports for the naive backend.
-
-  /// Anticipation function AN(v, pe) at `target_length` (Lemma 4.2).
-  [[nodiscard]] static int anticipation(const Csdfg& g,
-                                        const ScheduleTable& table,
-                                        const CommModel& comm, NodeId v,
-                                        PeId pe, int target_length);
-
-  /// Latest start step of v on `pe` under every placed successor.
-  [[nodiscard]] static int latest_start(const Csdfg& g,
-                                        const ScheduleTable& table,
-                                        const CommModel& comm, NodeId v,
-                                        PeId pe, int target_length);
-
-  /// Places every task of `rotated` into `table` at `target_length`.
-  [[nodiscard]] static RemapResult try_remap(
-      const Csdfg& g, ScheduleTable& table, const CommModel& comm,
-      const std::vector<NodeId>& rotated, int target_length,
-      RemapSelection selection, const ObsContext& obs = {},
-      RemapStats* tally = nullptr);
-
-  /// One full v1 remapping pass (Definition 4.2) over a table copy.
-  [[nodiscard]] static std::optional<ScheduleTable> remap_rotated(
-      const Csdfg& g, const ScheduleTable& table, const CommModel& comm,
-      const std::vector<NodeId>& rotated, int previous_length,
-      RemapPolicy policy,
-      RemapSelection selection = RemapSelection::kBidirectional,
-      const ObsContext& obs = {}, RemapStats* tally = nullptr);
 
  private:
   /// A cached bound contribution group: every placed static neighbor with
@@ -236,6 +183,12 @@ class RemapEngine {
     PeId pe = 0;
     std::size_t vol = 0;
     bool incoming = false;  ///< True: placed node is a predecessor.
+  };
+  /// Per-PE first-free answer, valid for one attempt (see attempt()).
+  struct FreeMemo {
+    int lo = 0;
+    int cb = -1;
+    int span = -1;
   };
   /// Everything rollback() restores.
   struct Snapshot {
@@ -269,12 +222,17 @@ class RemapEngine {
   [[nodiscard]] int bitset_first_free(PeId pe, int earliest, int span,
                                       long long& probes) const;
 
-  [[nodiscard]] std::optional<int> remap_incremental(
-      const std::vector<NodeId>& rotated, int previous_length,
-      RemapPolicy policy, RemapSelection selection, const ObsContext& obs);
-  [[nodiscard]] std::optional<int> remap_naive(
-      const std::vector<NodeId>& rotated, int previous_length,
-      RemapPolicy policy, RemapSelection selection, const ObsContext& obs);
+  /// Sorts `tasks` into placement order (order_) and builds the static
+  /// bound caches; once per remap() / place() call.
+  void prepare(const std::vector<NodeId>& tasks, RemapSelection selection);
+  /// One placement attempt of order_ at `target` (the body of place()).
+  /// On success the working state is complete and undo_ lists the
+  /// placements; on failure the working state is unwound.
+  [[nodiscard]] std::optional<int> attempt(int target,
+                                           RemapSelection selection,
+                                           const ObsContext& obs);
+  /// Removes the placements in undo_ and restores origin and length.
+  void unwind(int origin, int length);
 
   void build_static_caches(const std::vector<NodeId>& rotated,
                            RemapSelection selection);
@@ -289,7 +247,6 @@ class RemapEngine {
 
   // Immutable after construction / bind().
   const CommModel* comm_;
-  RemapBackend backend_;
   Csdfg base_graph_;  ///< Construction-time graph (pristine delays).
   std::size_t num_nodes_ = 0;
   std::size_t num_pes_ = 0;
@@ -300,6 +257,9 @@ class RemapEngine {
   std::vector<std::size_t> evol_idx_;  ///< Edge -> volume index.
   std::vector<std::size_t> vols_;      ///< Sorted-unique edge volumes.
   std::vector<CommCost> cost_;         ///< [vol][from][to] flat.
+  /// Worst single-edge transfer on this machine (the largest volume
+  /// between any two PEs); bounds the with-relaxation target search.
+  long long worst_cost_ = 0;
 
   // Working state.
   Csdfg graph_;  ///< Delays track the working retiming.
@@ -321,7 +281,9 @@ class RemapEngine {
   std::vector<std::vector<DynAn>> dyn_an_;
   std::vector<std::vector<DynLat>> dyn_lat_;
   std::vector<std::vector<DynComm>> dyn_comm_;
-  std::vector<NodeId> undo_;
+  std::vector<NodeId> order_;  ///< Placement order of the current call.
+  std::vector<NodeId> undo_;   ///< Placements of the current attempt.
+  std::vector<FreeMemo> free_memo_;
 };
 
 }  // namespace ccs

@@ -138,4 +138,45 @@ int min_feasible_length(const Csdfg& g, const ScheduleTable& table,
   return static_cast<int>(needed);
 }
 
+int anticipation(const Csdfg& g, const ScheduleTable& table,
+                 const CommModel& comm, NodeId v, PeId pe,
+                 int target_length) {
+  CCS_EXPECTS(v < g.node_count());
+  CCS_EXPECTS(pe < table.num_pes());
+  long long earliest = 1;
+  for (EdgeId eid : g.in_edges(v)) {
+    const Edge& e = g.edge(eid);
+    if (e.from == v) continue;  // self-loop: constrains PSL, not the slot
+    if (!table.is_placed(e.from)) continue;
+    const long long m = comm.cost(table.pe(e.from), pe, e.volume);
+    const long long bound = table.ce(e.from) + m + 1 -
+                            static_cast<long long>(e.delay) * target_length;
+    earliest = std::max(earliest, bound);
+  }
+  CCS_ENSURES(earliest <= std::numeric_limits<int>::max());
+  return static_cast<int>(earliest);
+}
+
+int latest_start(const Csdfg& g, const ScheduleTable& table,
+                 const CommModel& comm, NodeId v, PeId pe,
+                 int target_length) {
+  CCS_EXPECTS(v < g.node_count());
+  CCS_EXPECTS(pe < table.num_pes());
+  long long latest = target_length - table.time_on(v, pe) + 1;
+  for (EdgeId eid : g.out_edges(v)) {
+    const Edge& e = g.edge(eid);
+    if (e.to == v) continue;  // self-loop
+    if (!table.is_placed(e.to)) continue;
+    const long long m = comm.cost(pe, table.pe(e.to), e.volume);
+    // CB(w) + k*Lt >= CB(v) + t(v) - 1 + m + 1   =>   CB(v) <= bound.
+    const long long bound = table.cb(e.to) +
+                            static_cast<long long>(e.delay) * target_length -
+                            m - table.time_on(v, pe);
+    latest = std::min(latest, bound);
+  }
+  latest = std::min<long long>(latest, std::numeric_limits<int>::max());
+  latest = std::max<long long>(latest, std::numeric_limits<int>::min() + 1);
+  return static_cast<int>(latest);
+}
+
 }  // namespace ccs

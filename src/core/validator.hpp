@@ -69,4 +69,20 @@ struct ValidationReport {
                                       const ScheduleTable& table,
                                       const CommModel& comm);
 
+/// Anticipation function AN(v, pe) at `target_length` over a partial
+/// table (Lemma 4.2): the earliest start step on `pe` respecting every
+/// *placed* predecessor of v.  Unplaced predecessors and self-loops do not
+/// constrain the start step.  Always >= 1.
+[[nodiscard]] int anticipation(const Csdfg& g, const ScheduleTable& table,
+                               const CommModel& comm, NodeId v, PeId pe,
+                               int target_length);
+
+/// Latest start step of v on `pe` such that every *placed* successor of v
+/// still satisfies the master constraint at `target_length`, and v itself
+/// fits inside the table (CE <= target_length).  May be < 1, meaning no
+/// feasible step exists on that processor.
+[[nodiscard]] int latest_start(const Csdfg& g, const ScheduleTable& table,
+                               const CommModel& comm, NodeId v, PeId pe,
+                               int target_length);
+
 }  // namespace ccs

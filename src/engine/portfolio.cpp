@@ -321,7 +321,6 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
     row.winner = i == winner_index;
     row.remap_slots_scanned = run.remap_stats.slots_scanned;
     row.an_evaluations = run.remap_stats.an_evaluations;
-    row.engine_backend = run.backend;
     attempts.push_back(std::move(row));
   }
   const int serial_length = slots[0].result->best.length();

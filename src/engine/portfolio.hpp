@@ -98,13 +98,10 @@ struct AttemptOutcome {
   bool pruned = false;
   /// True for the winning attempt.
   bool winner = false;
-  /// Remap cost accounting of this attempt's run (API v2): occupancy
-  /// probes and Lemma 4.2 anticipation evaluations, per backend semantics
-  /// (see RemapStats).
+  /// Remap cost accounting of this attempt's run: occupancy bitset words
+  /// examined and Lemma 4.2 anticipation evaluations (see RemapStats).
   long long remap_slots_scanned = 0;
   long long an_evaluations = 0;
-  /// RemapEngine backend the attempt ran on ("incremental" / "naive").
-  std::string engine_backend;
 };
 
 /// The portfolio's answer.

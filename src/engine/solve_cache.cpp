@@ -32,15 +32,12 @@ std::uint64_t fold(std::uint64_t h, long long value) {
 }  // namespace
 
 std::uint64_t options_fingerprint(const SolveRequest& request) {
-  // Format version first, so a future change to the folded field set can
-  // never alias an old fingerprint.  v2 added remap_backend: the backends
-  // are placement-identical, but their responses differ in the remap-cost
-  // fields, so they must not share cache entries.
-  std::uint64_t h = fold(2, static_cast<long long>(request.mode));
+  // Format version first, bumped whenever the folded field set changes,
+  // so a changed field set can never alias an old fingerprint.
+  std::uint64_t h = fold(3, static_cast<long long>(request.mode));
   const CycloCompactionOptions& o = request.options;
   h = fold(h, static_cast<long long>(o.policy));
   h = fold(h, static_cast<long long>(o.selection));
-  h = fold(h, static_cast<long long>(o.remap_backend));
   h = fold(h, o.passes);
   h = fold(h, static_cast<long long>(o.startup.priority));
   h = fold(h, o.startup.comm_aware ? 1 : 0);
@@ -329,7 +326,7 @@ bool translate_cached(const SolveCache::Entry& entry,
     }
 
     out.graph = std::move(retimed);
-    if (has_retiming) out.retiming = retiming;
+    out.retiming = retiming;
     out.schedule.emplace(std::move(table));
     out.startup_length = entry.startup_length;
     out.best_length = entry.best_length;

@@ -68,7 +68,6 @@ void solve_schedule(const SolveRequest& request, const Topology& topo,
   res.stop_reason = run.stop_reason;
   res.remap_slots_scanned = run.remap_stats.slots_scanned;
   res.an_evaluations = run.remap_stats.an_evaluations;
-  res.engine_backend = run.backend;
   res.schedule.emplace(std::move(run.best));
   res.status = SolveStatus::kOk;
   certify_response(request, comm, res, "solver/schedule");
@@ -106,7 +105,6 @@ void solve_portfolio(const SolveRequest& request, const Topology& topo,
   res.stop_reason = portfolio.winner.stop_reason;
   res.remap_slots_scanned = portfolio.winner.remap_stats.slots_scanned;
   res.an_evaluations = portfolio.winner.remap_stats.an_evaluations;
-  res.engine_backend = portfolio.winner.backend;
   res.schedule.emplace(std::move(portfolio.winner.best));
   res.attempts = std::move(portfolio.attempts);
   res.winner_attempt = static_cast<int>(portfolio.winner_attempt);
@@ -152,7 +150,6 @@ void solve_repair(const SolveRequest& request, const Topology& topo,
       cyclo_compact(request.graph, topo, comm, request.options, obs);
   res.remap_slots_scanned = baseline.remap_stats.slots_scanned;
   res.an_evaluations = baseline.remap_stats.an_evaluations;
-  res.engine_backend = baseline.backend;
   RepairOptions ropt;
   ropt.pe_speeds = request.options.startup.pe_speeds;
   ropt.pipelined_pes = request.options.startup.pipelined_pes;
@@ -281,6 +278,7 @@ std::string_view solve_status_name(SolveStatus status) {
 SolveResponse Solver::solve(const SolveRequest& request) const {
   SolveResponse res;
   res.graph = request.graph;
+  res.retiming = Retiming(request.graph.node_count());
   try {
     request.graph.require_legal();
     std::optional<Topology> parsed;

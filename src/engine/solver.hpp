@@ -109,7 +109,9 @@ struct SolveResponse {
   DiagnosticBag diagnostics;
   /// The graph the schedule satisfies (retimed by compaction / repair).
   Csdfg graph{"g"};
-  /// Total retiming from the request's graph to `graph`.
+  /// Total retiming from the request's graph to `graph`: one entry per
+  /// request node in every response, all zero when no retiming ran
+  /// (kStartup, kCertify, a request refused before solving).
   Retiming retiming{0};
   /// The produced (or, for kCertify, echoed) schedule.
   std::optional<ScheduleTable> schedule;
@@ -151,18 +153,14 @@ struct SolveResponse {
   /// PE -> original PE mapping.
   std::string repair_rung;
   std::vector<PeId> pe_map;
-  /// Remap cost accounting (API v2, additive).  For kSchedule the run's
-  /// totals; for kPortfolio the winning attempt's totals (deterministic
-  /// across --jobs, like the winner itself).  `remap_slots_scanned` counts
-  /// occupancy probes — grid cells on the naive backend, 64-step bitset
-  /// words on the incremental one; `an_evaluations` counts Lemma 4.2
-  /// anticipation evaluations (identical across backends).  Both 0 for
-  /// modes that never remap (kStartup, kCertify, kModulo).
+  /// Remap cost accounting.  For kSchedule the run's totals; for
+  /// kPortfolio the winning attempt's totals (deterministic across --jobs,
+  /// like the winner itself); for kRepair the baseline compaction's.
+  /// `remap_slots_scanned` counts the 64-step occupancy bitset words
+  /// examined; `an_evaluations` counts Lemma 4.2 anticipation evaluations.
+  /// Both 0 for modes that never remap (kStartup, kCertify, kModulo).
   long long remap_slots_scanned = 0;
   long long an_evaluations = 0;
-  /// RemapEngine backend that produced `schedule` ("incremental" /
-  /// "naive"); empty when no remap ran.
-  std::string engine_backend;
 
   [[nodiscard]] bool ok() const noexcept { return status == SolveStatus::kOk; }
 };

@@ -1,11 +1,13 @@
 // Unit tests for the remapping phase: the anticipation function AN
 // (Lemma 4.2, pinned to the paper's worked numbers), the successor bound,
-// try_remap, and the two policies of Definition 4.2.
+// RemapEngine::place, and the two policies of Definition 4.2.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
-#include "core/remap.hpp"
+#include "core/remap_engine.hpp"
 #include "core/retiming.hpp"
 #include "core/validator.hpp"
 #include "workloads/library.hpp"
@@ -132,12 +134,16 @@ TEST_F(RemapTest, TryRemapPlacesIntoFreedSlots) {
   t.place(g.node_by_name("E"), 0, 4);
   t.place(g.node_by_name("F"), 0, 6);
   t.set_length(6);
-  const RemapResult res =
-      try_remap(g, t, comm_, {A}, 6, RemapSelection::kBidirectional);
-  ASSERT_TRUE(res.success);
-  EXPECT_TRUE(t.complete());
-  EXPECT_LE(res.length, 6);
-  EXPECT_TRUE(validate_schedule(g, t, comm_).ok());
+  RemapEngine engine(g, comm_);
+  engine.bind(t);
+  const std::optional<int> length =
+      engine.place({A}, 6, RemapSelection::kBidirectional);
+  ASSERT_TRUE(length.has_value());
+  const ScheduleTable out = engine.table();
+  EXPECT_TRUE(out.complete());
+  EXPECT_LE(*length, 6);
+  EXPECT_EQ(out.length(), *length);
+  EXPECT_TRUE(validate_schedule(g, out, comm_).ok());
 }
 
 TEST_F(RemapTest, WithoutRelaxationNeverExceedsPreviousLength) {
@@ -153,11 +159,13 @@ TEST_F(RemapTest, WithoutRelaxationNeverExceedsPreviousLength) {
   shifted.place(g.node_by_name("E"), 0, 4);
   shifted.place(g.node_by_name("F"), 0, 6);
   shifted.set_length(6);
-  const auto out = remap_rotated(g, shifted, comm_, {A}, 7,
-                                 RemapPolicy::kWithoutRelaxation);
+  RemapEngine engine(g, comm_);
+  engine.bind(shifted);
+  const auto out = engine.remap({A}, 7, RemapPolicy::kWithoutRelaxation,
+                                RemapSelection::kBidirectional);
   ASSERT_TRUE(out.has_value());
-  EXPECT_LE(out->length(), 7);
-  EXPECT_TRUE(validate_schedule(g, *out, comm_).ok());
+  EXPECT_LE(*out, 7);
+  EXPECT_TRUE(validate_schedule(g, engine.table(), comm_).ok());
 }
 
 TEST_F(RemapTest, RelaxationSucceedsWhereStrictPolicyCannot) {
@@ -173,15 +181,22 @@ TEST_F(RemapTest, RelaxationSucceedsWhereStrictPolicyCannot) {
   ScheduleTable shifted(g, 2);
   shifted.place(u, 0, 1);   // u occupies pe0/cs1; v was rotated out
   shifted.set_length(1);
-  const auto strict = remap_rotated(g, shifted, m, {v}, 2,
-                                    RemapPolicy::kWithoutRelaxation);
+  // Each policy remaps from the same shifted table.
+  const auto remap = [&](int previous_length, RemapPolicy policy)
+      -> std::optional<ScheduleTable> {
+    RemapEngine engine(g, m);
+    engine.bind(shifted);
+    if (!engine.remap({v}, previous_length, policy,
+                      RemapSelection::kBidirectional))
+      return std::nullopt;
+    return engine.table();
+  };
+  const auto strict = remap(2, RemapPolicy::kWithoutRelaxation);
   // v on pe0 needs cs2 (fits in target 2!), so strict succeeds here; check
   // the tighter case: previous length 1.
-  const auto strict1 = remap_rotated(g, shifted, m, {v}, 1,
-                                     RemapPolicy::kWithoutRelaxation);
+  const auto strict1 = remap(1, RemapPolicy::kWithoutRelaxation);
   EXPECT_FALSE(strict1.has_value());
-  const auto relaxed = remap_rotated(g, shifted, m, {v}, 1,
-                                     RemapPolicy::kWithRelaxation);
+  const auto relaxed = remap(1, RemapPolicy::kWithRelaxation);
   ASSERT_TRUE(relaxed.has_value());
   EXPECT_GT(relaxed->length(), 1);
   EXPECT_TRUE(validate_schedule(g, *relaxed, m).ok());
@@ -205,11 +220,12 @@ TEST_F(RemapTest, AnticipationOnlySelectionStillValidatesViaPsl) {
   shifted.place(g.node_by_name("E"), 0, 4);
   shifted.place(g.node_by_name("F"), 0, 6);
   shifted.set_length(6);
-  const auto out = remap_rotated(g, shifted, comm_, {A}, 7,
-                                 RemapPolicy::kWithRelaxation,
-                                 RemapSelection::kAnticipationOnly);
+  RemapEngine engine(g, comm_);
+  engine.bind(shifted);
+  const auto out = engine.remap({A}, 7, RemapPolicy::kWithRelaxation,
+                                RemapSelection::kAnticipationOnly);
   ASSERT_TRUE(out.has_value());
-  EXPECT_TRUE(validate_schedule(g, *out, comm_).ok());
+  EXPECT_TRUE(validate_schedule(g, engine.table(), comm_).ok());
 }
 
 }  // namespace

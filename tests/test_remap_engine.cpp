@@ -1,12 +1,13 @@
-// ccsched — differential tests for the incremental RemapEngine (API v2).
+// ccsched — differential tests for RemapEngine against the v1 referee.
 //
-// The contract under test: the kIncremental backend (bitset slot tests,
-// delta-maintained AN caches) is placement-for-placement identical to the
-// kNaive referee (the preserved v1 code path) on every library workload,
-// every paper machine, and every driver configuration.  The suite drives
-// both backends through whole cyclo-compaction runs (certifying the result
-// from first principles) and through randomized lockstep
-// rotate/remap/commit/rollback sequences that stress the delta updates.
+// The contract under test: the engine (bitset slot tests, delta-maintained
+// AN caches) is placement-for-placement identical to the v1 pass kept in
+// tests/remap_referee.hpp on every library workload, every paper machine,
+// and every driver configuration.  The suite drives both through whole
+// cyclo-compaction runs (certifying the result from first principles),
+// through randomized lockstep rotate/remap/commit/rollback sequences that
+// stress the delta updates, and through single-target placements on
+// partial tables (the repair ladder's remap rung).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "core/list_scheduler.hpp"
 #include "core/remap_engine.hpp"
 #include "core/validator.hpp"
+#include "remap_referee.hpp"
 #include "util/contracts.hpp"
 #include "workloads/library.hpp"
 
@@ -107,11 +109,10 @@ void expect_same_graph_delays(const Csdfg& a, const Csdfg& b,
 
 class BackendParity : public ::testing::TestWithParam<std::size_t> {};
 
-// The tentpole acceptance check: both backends, run through whole
-// cyclo-compaction drivers across every library workload x paper machine x
-// three configuration seeds, produce bit-identical schedules, traces, and
-// retimings, and the incremental winner certifies clean from first
-// principles (CCS-S).
+// The acceptance check: the engine driver and the referee driver, run
+// across every library workload x paper machine x three configuration
+// seeds, produce bit-identical schedules, traces, and retimings, and the
+// engine's winner certifies clean from first principles (CCS-S).
 TEST_P(BackendParity, CycloCompactionIsPlacementIdentical) {
   const Machine machine = paper_machines()[GetParam()];
   const StoreAndForwardModel comm(machine.topo);
@@ -119,18 +120,13 @@ TEST_P(BackendParity, CycloCompactionIsPlacementIdentical) {
     for (int seed = 0; seed < 3; ++seed) {
       const std::string what =
           wname + "/" + machine.name + "/seed" + std::to_string(seed);
-      CycloCompactionOptions fast = seed_options(seed);
-      fast.remap_backend = RemapBackend::kIncremental;
-      CycloCompactionOptions referee = fast;
-      referee.remap_backend = RemapBackend::kNaive;
+      const CycloCompactionOptions options = seed_options(seed);
 
       const CycloCompactionResult a =
-          cyclo_compact(g, machine.topo, comm, fast);
+          cyclo_compact(g, machine.topo, comm, options);
       const CycloCompactionResult b =
-          cyclo_compact(g, machine.topo, comm, referee);
+          referee::cyclo_compact(g, machine.topo, comm, options);
 
-      EXPECT_EQ(a.backend, "incremental") << what;
-      EXPECT_EQ(b.backend, "naive") << what;
       expect_same_schedule(a.best, b.best, what + " best");
       expect_same_schedule(a.startup, b.startup, what + " startup");
       expect_same_graph_delays(a.retimed_graph, b.retimed_graph, what);
@@ -139,19 +135,15 @@ TEST_P(BackendParity, CycloCompactionIsPlacementIdentical) {
       EXPECT_EQ(a.best_pass, b.best_pass) << what;
       EXPECT_EQ(a.stop_reason, b.stop_reason) << what;
 
-      // The Lemma 4.2 evaluation count is backend-independent by design
-      // (the cache changes the cost of an evaluation, not the number).
+      // The Lemma 4.2 evaluation count is implementation-independent by
+      // design (the cache changes the cost of an evaluation, not the
+      // number).
       EXPECT_EQ(a.remap_stats.an_evaluations, b.remap_stats.an_evaluations)
-          << what;
-      // Backend-specific counters stay in their lanes.
-      EXPECT_EQ(b.remap_stats.an_cache_hits, 0) << what;
-      EXPECT_EQ(b.remap_stats.bitset_probes, 0) << what;
-      EXPECT_EQ(a.remap_stats.bitset_probes, a.remap_stats.slots_scanned)
           << what;
 
       DiagnosticBag bag;
-      EXPECT_TRUE(certify_compaction_run(g, a, comm, fast.policy, what, {},
-                                         bag))
+      EXPECT_TRUE(certify_compaction_run(g, a, comm, options.policy, what,
+                                         {}, bag))
           << what << "\n";
       bag.finalize();
       EXPECT_TRUE(bag.empty()) << what;
@@ -178,10 +170,18 @@ struct Rng {
   }
 };
 
-// The delta-update property test: an incremental engine and a naive engine
-// driven in lockstep through randomized rotate / remap / commit-or-rollback
-// sequences agree on every observable after every operation.  Rollbacks are
-// taken on purpose mid-run so the snapshot restore path (placements,
+/// The referee's side of a lockstep run: the graph, table and retiming the
+/// v1 pass works on, as a unit that commits and rolls back wholesale.
+struct RefereeState {
+  Csdfg graph;
+  ScheduleTable table;
+  Retiming retiming;
+};
+
+// The delta-update property test: the engine and the referee, driven in
+// lockstep through randomized rotate / remap / commit-or-rollback
+// sequences, agree on every observable after every operation.  Rollbacks
+// are taken on purpose mid-run so the snapshot restore path (placements,
 // bitsets, delays, retiming, origin) is exercised, not just the happy path.
 TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
   const auto machines = paper_machines();
@@ -195,52 +195,56 @@ TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
       Rng rng{seed * 0x9e3779b97f4a7c15ull + wname.size()};
 
       const ScheduleTable startup = start_up_schedule(g, machine.topo, comm);
-      RemapEngine fast(g, comm, RemapBackend::kIncremental);
-      RemapEngine referee(g, comm, RemapBackend::kNaive);
+      RemapEngine fast(g, comm);
       fast.bind(startup);
-      referee.bind(startup);
+      RefereeState committed{g, startup, Retiming(g.node_count())};
+      RefereeState working = committed;
+      RemapStats referee_stats;
 
       const RemapPolicy policy = (seed % 2) != 0
                                      ? RemapPolicy::kWithRelaxation
                                      : RemapPolicy::kWithoutRelaxation;
       for (int pass = 0; pass < 24; ++pass) {
         const int previous = fast.length();
-        ASSERT_EQ(previous, referee.length()) << what << " pass " << pass;
+        ASSERT_EQ(previous, working.table.length())
+            << what << " pass " << pass;
 
         const std::vector<NodeId> ra = fast.rotate();
-        const std::vector<NodeId> rb = referee.rotate();
+        const std::vector<NodeId> rb = referee::rotate_first_row(
+            working.graph, working.table, &working.retiming);
         ASSERT_EQ(ra, rb) << what << " pass " << pass;
 
         const std::optional<int> la =
             fast.remap(ra, previous, policy, RemapSelection::kBidirectional);
-        const std::optional<int> lb = referee.remap(
-            rb, previous, policy, RemapSelection::kBidirectional);
+        std::optional<ScheduleTable> lb = referee::remap_rotated(
+            working.graph, working.table, comm, rb, previous, policy,
+            RemapSelection::kBidirectional, {}, &referee_stats);
         ASSERT_EQ(la.has_value(), lb.has_value()) << what << " pass " << pass;
 
         if (!la) {
           fast.rollback();
-          referee.rollback();
-          expect_same_schedule(fast.table(), referee.table(),
+          working = committed;
+          expect_same_schedule(fast.table(), working.table,
                                what + " rolled-back failure");
           break;
         }
-        EXPECT_EQ(*la, *lb) << what << " pass " << pass;
+        EXPECT_EQ(*la, lb->length()) << what << " pass " << pass;
+        working.table = std::move(*lb);
 
         // ~1 in 4 successful passes is discarded to stress the snapshot
-        // restore; both engines must take the same branch.
+        // restore; both sides take the same branch.
         if (rng.next() % 4 == 0) {
           fast.rollback();
-          referee.rollback();
+          working = committed;
         } else {
           fast.commit();
-          referee.commit();
+          committed = working;
         }
         const std::string step = what + " pass " + std::to_string(pass);
-        expect_same_schedule(fast.table(), referee.table(), step);
-        expect_same_graph_delays(fast.graph(), referee.graph(), step);
-        EXPECT_TRUE(fast.retiming() == referee.retiming()) << step;
-        EXPECT_EQ(fast.stats().an_evaluations,
-                  referee.stats().an_evaluations)
+        expect_same_schedule(fast.table(), working.table, step);
+        expect_same_graph_delays(fast.graph(), working.graph, step);
+        EXPECT_TRUE(fast.retiming() == working.retiming) << step;
+        EXPECT_EQ(fast.stats().an_evaluations, referee_stats.an_evaluations)
             << step;
 
         // The working schedule is always valid for the working graph —
@@ -253,13 +257,76 @@ TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
   }
 }
 
-TEST(RemapEngineApi, BackendNamesRoundTrip) {
-  EXPECT_EQ(remap_backend_name(RemapBackend::kIncremental), "incremental");
-  EXPECT_EQ(remap_backend_name(RemapBackend::kNaive), "naive");
-  EXPECT_EQ(parse_remap_backend("incremental"), RemapBackend::kIncremental);
-  EXPECT_EQ(parse_remap_backend("naive"), RemapBackend::kNaive);
-  EXPECT_EQ(parse_remap_backend("v1"), std::nullopt);
-  EXPECT_EQ(parse_remap_backend(""), std::nullopt);
+// The repair ladder's remap rung in isolation: take each compacted
+// schedule, unplace one PE's tasks at a time, and walk the targets up from
+// the table's length exactly as rung 0 does.  At every target the engine's
+// place() and the referee's try_remap agree on success, and on the first
+// success they agree on every placement, the padded length and the AN
+// count.
+TEST(RemapEnginePlace, MatchesRefereeTryRemapOnPartialTables) {
+  constexpr int kMaxSlack = 64;
+  int placements = 0;  // Cases that placed within the slack.
+  int exhausted = 0;   // Cases no target within the slack could place.
+  for (const Machine& machine : paper_machines()) {
+    const StoreAndForwardModel comm(machine.topo);
+    for (const auto& [wname, g] : library_workloads()) {
+      const CycloCompactionResult run = cyclo_compact(g, machine.topo, comm);
+      const Csdfg& rg = run.retimed_graph;
+      for (PeId dead = 0; dead < machine.topo.size(); ++dead) {
+        ScheduleTable base(rg, machine.topo.size());
+        std::vector<NodeId> orphans;
+        for (NodeId v = 0; v < rg.node_count(); ++v) {
+          if (run.best.pe(v) == dead)
+            orphans.push_back(v);
+          else
+            base.place(v, run.best.pe(v), run.best.cb(v));
+        }
+        if (orphans.empty()) continue;
+        base.set_length(run.best.length());
+
+        for (const RemapSelection selection :
+             {RemapSelection::kBidirectional,
+              RemapSelection::kAnticipationOnly}) {
+          const std::string what =
+              wname + "/" + machine.name + "/pe" + std::to_string(dead) +
+              (selection == RemapSelection::kBidirectional ? "/bidir"
+                                                           : "/an-only");
+          RemapEngine engine(rg, comm);
+          engine.bind(base);
+          RemapStats referee_stats;
+          bool placed = false;
+          for (int slack = 0; slack <= kMaxSlack && !placed; ++slack) {
+            const int target = base.length() + slack;
+            const std::optional<int> a =
+                engine.place(orphans, target, selection);
+            ScheduleTable b = base;
+            const referee::RemapResult r = referee::try_remap(
+                rg, b, comm, orphans, target, selection, {}, &referee_stats);
+            ASSERT_EQ(a.has_value(), r.success)
+                << what << " target " << target;
+            EXPECT_EQ(engine.stats().an_evaluations,
+                      referee_stats.an_evaluations)
+                << what << " target " << target;
+            if (!a) {
+              expect_same_schedule(engine.table(), base,
+                                   what + " unwound at " +
+                                       std::to_string(target));
+              continue;
+            }
+            placed = true;
+            EXPECT_EQ(*a, r.length) << what;
+            expect_same_schedule(engine.table(), b,
+                                 what + " placed at " +
+                                     std::to_string(target));
+          }
+          (placed ? placements : exhausted) += 1;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so both paths are compared.
+  EXPECT_GT(placements, 0);
+  EXPECT_GT(exhausted, 0);
 }
 
 TEST(RemapEngineApi, LifecycleContractsAreEnforced) {
@@ -272,38 +339,48 @@ TEST(RemapEngineApi, LifecycleContractsAreEnforced) {
   EXPECT_THROW((void)engine.remap({}, 1, RemapPolicy::kWithRelaxation,
                                   RemapSelection::kBidirectional),
                ContractViolation);
+  EXPECT_THROW((void)engine.place({}, 1, RemapSelection::kBidirectional),
+               ContractViolation);
   EXPECT_THROW((void)engine.table(), ContractViolation);
 
-  engine.bind(start_up_schedule(g, mesh, comm));
+  const ScheduleTable startup = start_up_schedule(g, mesh, comm);
+  engine.bind(startup);
   EXPECT_TRUE(engine.bound());
-  expect_same_schedule(engine.table(), start_up_schedule(g, mesh, comm),
-                       "bind round-trip");
+  expect_same_schedule(engine.table(), startup, "bind round-trip");
+  // place() takes exactly the unplaced tasks: none here, so naming a
+  // placed task is a caller bug.
+  EXPECT_THROW((void)engine.place({0}, startup.length(),
+                                  RemapSelection::kBidirectional),
+               ContractViolation);
+
+  // A partial table binds too, and rotate() refuses it.
+  ScheduleTable partial = startup;
+  partial.remove(0);
+  engine.bind(partial);
+  expect_same_schedule(engine.table(), partial, "partial bind round-trip");
+  EXPECT_THROW((void)engine.rotate(), ContractViolation);
+  EXPECT_THROW((void)engine.place({}, startup.length(),
+                                  RemapSelection::kBidirectional),
+               ContractViolation);
 }
 
-// The incremental backend's reason to exist: on the paper's 19-node
-// workload the bitset word probes undercut the naive backend's cell walk
-// by a wide margin while producing the same schedule.  The hard >= 5x gate
-// lives in bench_portfolio's quality gate; here the test pins the
-// direction so a regression cannot hide between bench runs.
+// The engine's reason to exist: on the paper's 19-node workload its bitset
+// word probes undercut the referee's cell walk at least 5x on every paper
+// machine while producing the same schedule.
 TEST(RemapEngineStats, IncrementalScansFewerSlotsOnPaper19) {
   const Csdfg g = paper_example19();
-  const Topology mesh = make_mesh(4, 2);
-  const StoreAndForwardModel comm(mesh);
-
-  CycloCompactionOptions fast;
-  fast.remap_backend = RemapBackend::kIncremental;
-  CycloCompactionOptions referee = fast;
-  referee.remap_backend = RemapBackend::kNaive;
-
-  const CycloCompactionResult a = cyclo_compact(g, mesh, comm, fast);
-  const CycloCompactionResult b = cyclo_compact(g, mesh, comm, referee);
-  expect_same_schedule(a.best, b.best, "paper19/mesh4x2");
-  EXPECT_GT(a.remap_stats.slots_scanned, 0);
-  EXPECT_GT(b.remap_stats.slots_scanned,
-            4 * a.remap_stats.slots_scanned)
-      << "incremental " << a.remap_stats.slots_scanned << " vs naive "
-      << b.remap_stats.slots_scanned;
-  EXPECT_GT(a.remap_stats.an_cache_hits, 0);
+  for (const Machine& machine : paper_machines()) {
+    const StoreAndForwardModel comm(machine.topo);
+    const CycloCompactionResult a = cyclo_compact(g, machine.topo, comm);
+    const CycloCompactionResult b =
+        referee::cyclo_compact(g, machine.topo, comm);
+    expect_same_schedule(a.best, b.best,
+                         std::string("paper19/") + machine.name);
+    EXPECT_GT(a.remap_stats.slots_scanned, 0) << machine.name;
+    EXPECT_GE(b.remap_stats.slots_scanned, 5 * a.remap_stats.slots_scanned)
+        << machine.name << ": engine " << a.remap_stats.slots_scanned
+        << " vs referee " << b.remap_stats.slots_scanned;
+  }
 }
 
 }  // namespace

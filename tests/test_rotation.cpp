@@ -4,7 +4,7 @@
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/list_scheduler.hpp"
-#include "core/rotation.hpp"
+#include "core/remap_engine.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {
@@ -19,13 +19,13 @@ protected:
 };
 
 TEST_F(RotationTest, FirstRotationExtractsAAndRetimesIt) {
-  Csdfg g = g_;
-  ScheduleTable t = startup_;
-  Retiming acc(g.node_count());
-  const auto rotated = rotate_first_row(g, t, &acc);
+  RemapEngine engine(g_, comm_);
+  engine.bind(startup_);
+  const auto rotated = engine.rotate();
   ASSERT_EQ(rotated, std::vector<NodeId>{g_.node_by_name("A")});
-  EXPECT_EQ(acc.of(g_.node_by_name("A")), 1);
+  EXPECT_EQ(engine.retiming().of(g_.node_by_name("A")), 1);
   // Figure 1(c): D->A drops to 2, A's out-edges gain one delay each.
+  const Csdfg& g = engine.graph();
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
     const std::string from = g.node(ed.from).name;
@@ -41,10 +41,12 @@ TEST_F(RotationTest, FirstRotationExtractsAAndRetimesIt) {
 }
 
 TEST_F(RotationTest, TableShiftsUpAndShrinksByOne) {
-  Csdfg g = g_;
-  ScheduleTable t = startup_;
-  const int before = t.length();
-  (void)rotate_first_row(g, t);
+  RemapEngine engine(g_, comm_);
+  engine.bind(startup_);
+  const int before = startup_.length();
+  (void)engine.rotate();
+  EXPECT_EQ(engine.length(), before - 1);
+  const ScheduleTable t = engine.table();
   EXPECT_EQ(t.length(), before - 1);
   EXPECT_FALSE(t.is_placed(g_.node_by_name("A")));
   EXPECT_EQ(t.cb(g_.node_by_name("B")), 1);
@@ -53,15 +55,19 @@ TEST_F(RotationTest, TableShiftsUpAndShrinksByOne) {
 }
 
 TEST_F(RotationTest, SecondRotationTakesTheNewFirstRow) {
-  Csdfg g = g_;
-  ScheduleTable t = startup_;
-  (void)rotate_first_row(g, t);
-  // Rotation requires a complete table: remap A somewhere first (pe2 at
-  // step 5 is free and dependence-safe for this purpose).
+  RemapEngine first(g_, comm_);
+  first.bind(startup_);
+  (void)first.rotate();
+  // Rotation requires a complete table: put A back by hand (pe2 at step 5
+  // is free and dependence-safe for this purpose) and continue from there.
+  ScheduleTable t = first.table();
   t.place(g_.node_by_name("A"), 1, 5);
-  const auto second = rotate_first_row(g, t);
-  ASSERT_EQ(second, std::vector<NodeId>{g_.node_by_name("B")});
+  RemapEngine second(first.graph(), comm_);
+  second.bind(t);
+  const auto rotated = second.rotate();
+  ASSERT_EQ(rotated, std::vector<NodeId>{g_.node_by_name("B")});
   // B's incoming A->B had gained a delay in rotation 1; it returns to 0.
+  const Csdfg& g = second.graph();
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
     if (g.node(ed.from).name == "A" && g.node(ed.to).name == "B") {
@@ -76,14 +82,14 @@ TEST_F(RotationTest, SecondRotationTakesTheNewFirstRow) {
 
 TEST_F(RotationTest, RotationPreservesIterationStructure) {
   // Rotation is a retiming: cycle delay sums are invariant.
-  Csdfg g = g_;
-  ScheduleTable t = startup_;
-  const long long total_before = g.total_delay();
-  (void)rotate_first_row(g, t);
+  RemapEngine engine(g_, comm_);
+  engine.bind(startup_);
+  const long long total_before = g_.total_delay();
+  (void)engine.rotate();
   // Total delay may change (A has 3 out-edges vs 1 in-edge) but legality
   // and per-cycle sums hold; spot-check the E-F cycle: F->E=1, E->F=0.
-  EXPECT_TRUE(g.is_legal());
-  EXPECT_EQ(total_before + 2, g.total_delay());  // +3 out, -1 in
+  EXPECT_TRUE(engine.graph().is_legal());
+  EXPECT_EQ(total_before + 2, engine.graph().total_delay());  // +3 out, -1 in
 }
 
 TEST_F(RotationTest, MultipleStartersRotateTogether) {
@@ -100,30 +106,34 @@ TEST_F(RotationTest, MultipleStartersRotateTogether) {
   t.place(a, 0, 1);
   t.place(b, 1, 1);
   t.place(c, 0, 2);
-  Csdfg rg = g;
-  const auto rotated = rotate_first_row(rg, t);
+  RemapEngine engine(g, comm_);
+  engine.bind(t);
+  const auto rotated = engine.rotate();
   EXPECT_EQ(rotated, (std::vector<NodeId>{a, b}));
-  EXPECT_EQ(t.cb(c), 1);
-  EXPECT_EQ(t.length(), 1);
+  EXPECT_EQ(engine.table().cb(c), 1);
+  EXPECT_EQ(engine.length(), 1);
   // c->a delay 1 drained to 0; a->c gained 1 (and symmetrically for b).
+  const Csdfg& rg = engine.graph();
   EXPECT_EQ(rg.edge(0).delay, 1);  // a->c
   EXPECT_EQ(rg.edge(2).delay, 0);  // c->a
   EXPECT_EQ(rg.edge(3).delay, 1);  // c->b
 }
 
 TEST_F(RotationTest, AccumulatedRetimingComposesAcrossRotations) {
-  Csdfg g = g_;
-  ScheduleTable t = startup_;
-  Retiming acc(g.node_count());
-  (void)rotate_first_row(g, t, &acc);
+  RemapEngine first(g_, comm_);
+  first.bind(startup_);
+  (void)first.rotate();
+  ScheduleTable t = first.table();
   t.place(g_.node_by_name("A"), 1, 5);  // complete the table between passes
-  (void)rotate_first_row(g, t, &acc);
-  // Applying the accumulated retiming to the *original* graph must equal
-  // the doubly-rotated graph.
+  RemapEngine second(first.graph(), comm_);
+  second.bind(t);
+  (void)second.rotate();
+  // Applying the composed retiming to the *original* graph must equal the
+  // doubly-rotated graph.
   Csdfg replay = g_;
-  acc.apply(replay);
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    EXPECT_EQ(replay.edge(e).delay, g.edge(e).delay);
+  (first.retiming() + second.retiming()).apply(replay);
+  for (EdgeId e = 0; e < replay.edge_count(); ++e)
+    EXPECT_EQ(replay.edge(e).delay, second.graph().edge(e).delay);
 }
 
 TEST_F(RotationTest, EmptyFirstRowIsAPureShift) {
@@ -133,12 +143,13 @@ TEST_F(RotationTest, EmptyFirstRowIsAPureShift) {
   ScheduleTable t(g, 1);
   t.place(a, 0, 2);
   t.set_length(3);
-  Csdfg rg = g;
-  const auto rotated = rotate_first_row(rg, t);
+  RemapEngine engine(g, comm_);
+  engine.bind(t);
+  const auto rotated = engine.rotate();
   EXPECT_TRUE(rotated.empty());
-  EXPECT_EQ(t.cb(a), 1);
-  EXPECT_EQ(t.length(), 2);
-  EXPECT_EQ(rg.edge(0).delay, 1);  // untouched
+  EXPECT_EQ(engine.table().cb(a), 1);
+  EXPECT_EQ(engine.length(), 2);
+  EXPECT_EQ(engine.graph().edge(0).delay, 1);  // untouched
 }
 
 }  // namespace

@@ -8,9 +8,15 @@
 #include <string>
 #include <vector>
 
+#include "analysis/certify.hpp"
+#include "arch/comm_model.hpp"
+#include "arch/topology.hpp"
 #include "core/budget.hpp"
 #include "engine/solve_cache.hpp"
+#include "io/schedule_format.hpp"
 #include "io/serve_codec.hpp"
+#include "io/text_format.hpp"
+#include "obs/trace_reader.hpp"
 #include "serve/service.hpp"
 
 namespace ccs {
@@ -196,6 +202,53 @@ TEST(Serve, LadderDegradesWithRemainingAllowance) {
   EXPECT_EQ(field(r.responses[3], "status"), "uncertified");
   EXPECT_NE(field(r.responses[3], "lower_bound"), "0");
   EXPECT_EQ(r.summary.degraded, 3);
+}
+
+// `emit` returns the persistable artifacts on every rung that produces a
+// schedule, not only the compacting ones: a start-up request and a request
+// the ladder degrades to the list rung both come back with a graph and a
+// schedule that parse and certify, with no retime lines (nothing retimed).
+TEST(Serve, EmitWorksOnStartupAndListRungAnswers) {
+  ManualBudgetClock clock;
+  ServeOptions o;
+  o.clock = &clock;
+  o.full_ms = 200;
+  o.compact_ms = 50;
+  o.list_ms = 5;
+  SolveCache::global().clear();
+  SolveCache::global().set_enabled(false);  // both answers solved cold
+  std::string input;
+  input += solve_line("startup", kGraphA,
+                      ",\"mode\":\"startup\",\"emit\":true") +
+           "\n";
+  input += solve_line("list", kGraphC, ",\"deadline_ms\":20,\"emit\":true") +
+           "\n";
+  const ServeRun r = run(input, o);
+  SolveCache::global().set_enabled(true);
+  ASSERT_EQ(r.responses.size(), 2u);
+  EXPECT_EQ(field(r.responses[1], "degraded"), "list-schedule");
+
+  const ParsedTrace parsed = parse_trace_jsonl(r.out);
+  ASSERT_TRUE(parsed.issues.empty()) << r.out;
+  ASSERT_EQ(parsed.events.size(), 2u);
+  const Topology topo = parse_topology("mesh 2 1");
+  const StoreAndForwardModel comm(topo);
+  for (const TraceEvent& e : parsed.events) {
+    std::string id;
+    std::string status;
+    std::string graph_text;
+    std::string schedule_text;
+    ASSERT_TRUE(e.string("id", id));
+    ASSERT_TRUE(e.string("status", status));
+    EXPECT_EQ(status, "ok") << id;
+    ASSERT_TRUE(e.string("graph", graph_text)) << id;
+    ASSERT_TRUE(e.string("schedule", schedule_text)) << id;
+    EXPECT_EQ(schedule_text.find("retime"), std::string::npos) << id;
+    const Csdfg g = parse_csdfg(graph_text);
+    const ScheduleTable table = parse_schedule(g, schedule_text);
+    DiagnosticBag bag;
+    EXPECT_TRUE(certify_table(g, table, comm, id, bag)) << id;
+  }
 }
 
 TEST(Serve, CacheFastPathBeatsTightDeadline) {

@@ -32,7 +32,7 @@ bool has_code(const DiagnosticBag& bag, const std::string& code) {
 }
 
 TEST(SolverApi, VersionMacroIsCurrent) {
-  EXPECT_EQ(CCSCHED_API_VERSION, 2);
+  EXPECT_EQ(CCSCHED_API_VERSION, 3);
 }
 
 TEST(SolverApi, HelloWorldScheduleIsCertified) {
@@ -53,6 +53,42 @@ TEST(SolverApi, HelloWorldScheduleIsCertified) {
   // The response graph is the retimed one the schedule satisfies.
   const StoreAndForwardModel comm(*res.machine);
   EXPECT_TRUE(validate_schedule(res.graph, *res.schedule, comm).ok());
+}
+
+// SolveResponse::retiming maps the request graph to `graph`, so every
+// schedule-bearing response carries one entry per request node — also the
+// modes that never retime, whose schedules are then serializable with
+// their (all-zero) retiming like any other.
+TEST(SolverApi, EveryScheduleComesWithARetimingOfTheRequestGraph) {
+  Solver solver;
+  SolveRequest made;
+  made.graph = paper_example6();
+  made.arch = "mesh 2 2";
+  const SolveResponse compacted = solver.solve(made);
+  ASSERT_TRUE(compacted.ok()) << render_text(compacted.diagnostics);
+
+  for (const SolveMode mode :
+       {SolveMode::kStartup, SolveMode::kSchedule, SolveMode::kModulo,
+        SolveMode::kPortfolio, SolveMode::kCertify, SolveMode::kRepair}) {
+    SolveRequest req;
+    req.graph = paper_example6();
+    req.arch = "mesh 2 2";
+    req.mode = mode;
+    if (mode == SolveMode::kCertify) {
+      req.graph = compacted.graph;
+      req.schedule = compacted.schedule;
+    }
+    if (mode == SolveMode::kRepair) req.faults = "fail p0\n";
+    const SolveResponse res = solver.solve(req);
+    const std::string what = "mode " + std::to_string(static_cast<int>(mode));
+    ASSERT_TRUE(res.ok()) << what << "\n" << render_text(res.diagnostics);
+    ASSERT_TRUE(res.schedule.has_value()) << what;
+    EXPECT_EQ(res.retiming.size(), req.graph.node_count()) << what;
+    EXPECT_EQ(res.retiming.size(), res.graph.node_count()) << what;
+    EXPECT_NO_THROW(
+        (void)serialize_schedule(res.graph, *res.schedule, &res.retiming))
+        << what;
+  }
 }
 
 TEST(SolverApi, MalformedArchitectureIsInvalidNotThrown) {
@@ -379,7 +415,12 @@ TEST(SolverCache, StartupModeRoundTripsWithoutRetiming) {
   ASSERT_TRUE(hot.ok()) << render_text(hot.diagnostics);
   EXPECT_TRUE(hot.cache_hit);
   EXPECT_TRUE(hot.certified);
-  EXPECT_EQ(hot.retiming.size(), 0u);
+  // No retiming ran: one all-zero entry per node, cold and translated.
+  for (const SolveResponse* res : {&cold, &hot}) {
+    ASSERT_EQ(res->retiming.size(), req.graph.node_count());
+    for (NodeId v = 0; v < req.graph.node_count(); ++v)
+      EXPECT_EQ(res->retiming.of(v), 0);
+  }
   EXPECT_EQ(hot.best_length, cold.best_length);
 }
 

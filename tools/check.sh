@@ -4,7 +4,7 @@
 # instrumentation and the portfolio worker pool included — is checked.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-sanitize[-<set>])
-# Environment: CCSCHED_SANITIZE (or legacy SANITIZERS) picks the set:
+# Environment: CCSCHED_SANITIZE picks the set:
 #   address,undefined   the default — leak/UB-check the full suite + gates
 #   thread              ThreadSanitizer over the concurrency surface (the
 #                       portfolio engine, route cache, solver, budgets, obs);
@@ -14,7 +14,7 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-sanitizers="${CCSCHED_SANITIZE:-${SANITIZERS:-address,undefined}}"
+sanitizers="${CCSCHED_SANITIZE:-address,undefined}"
 default_dir="${repo_root}/build-sanitize"
 if [ "${sanitizers}" != "address,undefined" ]; then
   default_dir="${repo_root}/build-sanitize-${sanitizers//,/-}"
@@ -173,56 +173,6 @@ for sched in "${bad_sched_dir}"/s*.sched; do
   done
   echo "rejected with ${code}: ${sched}"
 done
-
-# Remap backend gate (docs/API.md "v1 -> v2"): the incremental engine and
-# the naive v1 referee must render byte-identical schedules on the paper
-# workloads — the shell-level echo of the differential test suite.  And the
-# deprecated v1 shims must stay consumable warning-clean by downstream code
-# built with -Wall -Wextra -Werror (the [[deprecated]] attributes only
-# arm under CCSCHED_WARN_DEPRECATED, where the warning must actually fire).
-echo "== remap backend gate =="
-for graph in "${repo_root}"/examples/data/paper_fig1b.csdfg \
-             "${repo_root}"/examples/data/paper_fig7.csdfg; do
-  arch="mesh 2 2"
-  case "$(basename "${graph}")" in paper_fig7.csdfg) arch="mesh 4 2" ;; esac
-  for policy in relax strict; do
-    "${ccsched}" schedule "${graph}" --arch "${arch}" --policy "${policy}" \
-      --remap-backend incremental > "${workdir}/inc.out"
-    "${ccsched}" schedule "${graph}" --arch "${arch}" --policy "${policy}" \
-      --remap-backend naive > "${workdir}/nai.out"
-    cmp "${workdir}/inc.out" "${workdir}/nai.out" || {
-      echo "error: backends diverge on ${graph} (${policy})" >&2
-      exit 1
-    }
-  done
-  echo "backends identical: ${graph}"
-done
-cat > "${workdir}/shim_user.cpp" <<'EOF'
-#include "core/remap.hpp"
-int use(const ccs::Csdfg& g, const ccs::ScheduleTable& t,
-        const ccs::CommModel& m) {
-  return ccs::anticipation(g, t, m, 0, 0, 4) +
-         ccs::latest_start(g, t, m, 0, 0, 4);
-}
-EOF
-cxx="${CXX:-c++}"
-"${cxx}" -std=c++20 -fsyntax-only -Wall -Wextra -Werror \
-  -I "${repo_root}/src" "${workdir}/shim_user.cpp" || {
-  echo "error: deprecated shims are not warning-clean downstream" >&2
-  exit 1
-}
-if ! "${cxx}" -std=c++20 -fsyntax-only -Wall -Wextra \
-    -DCCSCHED_WARN_DEPRECATED -I "${repo_root}/src" \
-    "${workdir}/shim_user.cpp" 2> "${workdir}/shim_warn.txt"; then
-  echo "error: shim TU failed to compile under CCSCHED_WARN_DEPRECATED" >&2
-  cat "${workdir}/shim_warn.txt" >&2
-  exit 1
-fi
-grep -q "deprecated" "${workdir}/shim_warn.txt" || {
-  echo "error: CCSCHED_WARN_DEPRECATED produced no deprecation warning" >&2
-  exit 1
-}
-echo "remap backend + shim hygiene gates passed"
 
 # Stress gate (docs/ROBUSTNESS.md): a single-PE fail-stop must walk the
 # repair ladder to a certified schedule on every shipped workload, and the
