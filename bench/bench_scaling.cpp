@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "core/critical_cycle.hpp"
 #include "core/iteration_bound.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/retiming.hpp"
@@ -82,12 +83,64 @@ BENCHMARK(BM_MinPeriodRetiming)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
 
+/// The compacted retimed graph of graph_of_size(nodes) on mesh 4 2: the
+/// graph the certifier's CCS-S015 check bounds again after a schedule run,
+/// with far more delay on its edges than the input.
+Csdfg retimed_graph_of_size(std::size_t nodes) {
+  const Topology topo = make_mesh(4, 2);
+  const StoreAndForwardModel comm(topo);
+  CycloCompactionOptions opt;
+  opt.policy = RemapPolicy::kWithRelaxation;
+  return cyclo_compact(graph_of_size(nodes), topo, comm, opt).retimed_graph;
+}
+
+/// Exports the deterministic probe count of `g`'s max-cycle-ratio search
+/// (one Bellman–Ford probe per candidate ratio), gated in CI against
+/// bench/baselines/cycle_ratio.json.
+void export_probes(benchmark::State& state, const Csdfg& g) {
+  state.counters["cycle_ratio.probes"] =
+      ::benchmark::Counter(static_cast<double>(max_cycle_ratio(g).probes));
+}
+
 void BM_IterationBound(benchmark::State& state) {
   const Csdfg g = graph_of_size(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(iteration_bound(g));
+  export_probes(state, g);
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_IterationBound)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IterationBound)
+    ->RangeMultiplier(4)
+    ->Range(16, 4096)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
+void BM_CriticalCycle(benchmark::State& state) {
+  const Csdfg g = graph_of_size(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(critical_cycle(g));
+  export_probes(state, g);
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CriticalCycle)
+    ->RangeMultiplier(4)
+    ->Range(16, 4096)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
+void BM_IterationBoundRetimed(benchmark::State& state) {
+  const Csdfg g =
+      retimed_graph_of_size(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(iteration_bound(g));
+  export_probes(state, g);
+}
+BENCHMARK(BM_IterationBoundRetimed)->Arg(64)->Unit(benchmark::kMillisecond);
+
+void BM_CriticalCycleRetimed(benchmark::State& state) {
+  const Csdfg g =
+      retimed_graph_of_size(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(critical_cycle(g));
+  export_probes(state, g);
+}
+BENCHMARK(BM_CriticalCycleRetimed)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

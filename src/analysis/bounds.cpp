@@ -379,9 +379,10 @@ public:
       const Edge& e = g.edge(eid);
       if (e.from == e.to) continue;  // a self-loop never crosses PEs
       const long long lhs =
-          s_min * (g.node(e.from).time + g.node(e.to).time) +
+          s_min * (static_cast<long long>(g.node(e.from).time) +
+                   g.node(e.to).time) +
           costs.get(e.volume);
-      const long long b = ceil_div(lhs, e.delay + 1);
+      const long long b = ceil_div(lhs, static_cast<long long>(e.delay) + 1);
       if (minsplit < 0 || b < minsplit) minsplit = b;
     }
     if (minsplit < 0) return std::nullopt;  // only self-loops: unreachable

@@ -16,46 +16,27 @@ Rational CycleWitness::ratio() const {
 }
 
 CycleWitness critical_cycle(const Csdfg& g) {
-  const Rational bound = iteration_bound(g);
+  const CycleRatio mcr = max_cycle_ratio(g);
+  const Rational bound = mcr.ratio;
   if (bound.num == 0) return {};  // acyclic
 
-  const long long p = bound.num, q = bound.den;
+  // Tight subgraph over the converging probe's potentials at ratio B:
+  // every critical cycle's edges satisfy pot[to] == pot[from] + w, and
+  // every cycle of tight edges is critical.
+  const Int128 p = bound.num, q = bound.den;
+  const std::vector<Int128>& pot = mcr.potentials;
   const std::size_t n = g.node_count();
-  auto weight = [&](EdgeId eid) {
-    const Edge& e = g.edge(eid);
-    return q * static_cast<long long>(g.node(e.from).time) -
-           p * static_cast<long long>(e.delay);
-  };
-
-  // Longest paths from a virtual source; converges because no cycle is
-  // positive at ratio B.
-  std::vector<long long> dist(n, 0);
-  for (std::size_t pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
-      const Edge& e = g.edge(eid);
-      if (dist[e.from] + weight(eid) > dist[e.to]) {
-        dist[e.to] = dist[e.from] + weight(eid);
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-
-  // Tight subgraph: every critical cycle's edges satisfy
-  // dist[to] == dist[from] + w, and every cycle of tight edges is critical.
   std::vector<std::vector<EdgeId>> tight(n);
   for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
     const Edge& e = g.edge(eid);
-    if (dist[e.from] + weight(eid) == dist[e.to])
+    if (pot[e.from] + q * g.node(e.from).time - p * e.delay == pot[e.to])
       tight[e.from].push_back(eid);
   }
 
   // Iterative DFS for a cycle in the tight subgraph.
   enum class Color { kWhite, kGray, kBlack };
   std::vector<Color> color(n, Color::kWhite);
-  std::vector<EdgeId> via(n, 0);      // tight edge used to enter the node
-  std::vector<NodeId> parent(n, 0);   // DFS tree parent
+  std::vector<EdgeId> via(n, 0);  // tight edge used to enter the node
 
   for (NodeId root = 0; root < n; ++root) {
     if (color[root] != Color::kWhite) continue;
@@ -68,16 +49,12 @@ CycleWitness critical_cycle(const Csdfg& g) {
         const EdgeId eid = tight[u][idx++];
         const NodeId w = g.edge(eid).to;
         if (color[w] == Color::kGray) {
-          // Found a cycle: unwind from u back to w.
+          // Found a cycle: unwind from u back to w along the DFS tree.
           CycleWitness cycle;
-          std::vector<EdgeId> rev{eid};
-          NodeId cur = u;
-          while (cur != w) {
-            rev.push_back(via[cur]);
-            cur = parent[cur];
-          }
-          std::reverse(rev.begin(), rev.end());
-          cycle.edges = rev;
+          cycle.edges.push_back(eid);
+          for (NodeId cur = u; cur != w; cur = g.edge(via[cur]).from)
+            cycle.edges.push_back(via[cur]);
+          std::reverse(cycle.edges.begin(), cycle.edges.end());
           for (EdgeId ce : cycle.edges) {
             cycle.total_time += g.node(g.edge(ce).from).time;
             cycle.total_delay += g.edge(ce).delay;
@@ -88,7 +65,6 @@ CycleWitness critical_cycle(const Csdfg& g) {
         if (color[w] == Color::kWhite) {
           color[w] = Color::kGray;
           via[w] = eid;
-          parent[w] = u;
           stack.push_back({w, 0});
         }
       } else {

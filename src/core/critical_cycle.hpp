@@ -27,11 +27,12 @@ struct CycleWitness {
 /// Finds a simple cycle of `g` attaining the iteration bound.  Returns an
 /// empty witness (no edges) for acyclic graphs.  Deterministic.
 ///
-/// Method: with B = p/q from iteration_bound(), the edge weights
-/// q*t(u) - p*d(e) make every cycle non-positive and the critical cycle
-/// exactly zero; a zero-weight cycle is then recovered by walking
-/// predecessor links of a Bellman–Ford run.  Throws GraphError if `g` is
-/// illegal.
+/// Method: at B = p/q, the potentials of max_cycle_ratio()'s converging
+/// probe make every cycle non-positive; an edge is tight when pot[to] ==
+/// pot[from] + q*t(u) - p*d(e), and every cycle of tight edges is critical.
+/// A DFS over tight edges (roots and edges in id order) returns the first
+/// cycle it closes; no second Bellman–Ford runs.  Throws GraphError if `g`
+/// is illegal.
 [[nodiscard]] CycleWitness critical_cycle(const Csdfg& g);
 
 /// Human-readable rendering: "A -> B -> A (t=4, d=3, ratio 4/3)".

@@ -55,7 +55,7 @@ DagTiming compute_dag_timing(const Csdfg& g) {
   t.critical_path = 0;
   for (NodeId v = 0; v < n; ++v)
     t.critical_path =
-        std::max(t.critical_path, t.asap_cb[v] + g.node(v).time - 1);
+        std::max(t.critical_path, t.asap_cb[v] - 1 + g.node(v).time);
 
   t.alap_cb.assign(n, 0);
   for (NodeId v = 0; v < n; ++v)

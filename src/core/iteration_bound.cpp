@@ -1,12 +1,13 @@
 #include "core/iteration_bound.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.hpp"
-#include "util/error.hpp"
 
 namespace ccs {
 
@@ -17,75 +18,89 @@ std::string Rational::to_string() const {
   return os.str();
 }
 
-bool has_cycle_ratio_above(const Csdfg& g, long long p, long long q) {
-  CCS_EXPECTS(q > 0);
-  const std::size_t n = g.node_count();
-  if (n == 0) return false;
+namespace {
 
-  // Longest-path Bellman–Ford from a virtual source connected to all nodes
-  // with weight 0; a relaxation still possible after n passes certifies a
-  // positive cycle, i.e. a cycle with q*sum(t) - p*sum(d) > 0, i.e. ratio
-  // sum(t)/sum(d) > p/q.
-  std::vector<long long> dist(n, 0);
-  for (std::size_t pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
-      const Edge& e = g.edge(eid);
-      const long long w = q * static_cast<long long>(g.node(e.from).time) -
-                          p * static_cast<long long>(e.delay);
-      if (dist[e.from] + w > dist[e.to]) {
-        dist[e.to] = dist[e.from] + w;
-        changed = true;
-      }
+constexpr EdgeId kNoPred = std::numeric_limits<EdgeId>::max();
+
+/// An edge flattened for the probe's inner loop; `time` is t(from).
+struct Arc {
+  NodeId from, to;
+  long long time, delay;
+};
+
+/// The largest-ratio cycle among the predecessor edges as {t(C), d(C)}, or
+/// {0, 0} if they are acyclic.  Stamps each node once: O(V).
+std::pair<long long, long long> best_predecessor_cycle(
+    const std::vector<Arc>& arcs, const std::vector<EdgeId>& pred) {
+  std::vector<std::size_t> stamp(pred.size(), 0);  // 1 + the walk's start
+  long long best_t = 0, best_d = 0;
+  for (NodeId start = 0; start < pred.size(); ++start) {
+    NodeId v = start;
+    for (; stamp[v] == 0 && pred[v] != kNoPred; v = arcs[pred[v]].from)
+      stamp[v] = start + 1;
+    if (stamp[v] != start + 1) continue;  // a root, or an earlier walk
+    long long t = 0, d = 0;  // v lies on a cycle this walk closed
+    NodeId u = v;
+    do {
+      t += arcs[pred[u]].time;
+      d += arcs[pred[u]].delay;
+      u = arcs[pred[u]].from;
+    } while (u != v);
+    if (best_d == 0 || Rational{t, d} > Rational{best_t, best_d}) {
+      best_t = t;
+      best_d = d;
     }
-    if (!changed) return false;
   }
-  return true;
+  return {best_t, best_d};
 }
 
-Rational iteration_bound(const Csdfg& g) {
+}  // namespace
+
+CycleRatio max_cycle_ratio(const Csdfg& g) {
   g.require_legal();
-  if (g.node_count() == 0) return Rational{0, 1};
-
-  if (!has_cycle_ratio_above(g, 0, 1)) {
-    // Every cycle has positive computation time, so "ratio > 0" fails only
-    // when there is no cycle at all: the graph is acyclic.
-    return Rational{0, 1};
+  std::vector<Arc> arcs(g.edge_count());
+  for (EdgeId eid = 0; eid < arcs.size(); ++eid) {
+    const Edge& e = g.edge(eid);
+    arcs[eid] = {e.from, e.to, g.node(e.from).time, e.delay};
   }
-
-  // B is T_C / D_C for some simple cycle C, so its denominator is at most
-  // min(total delay, |V| * max edge delay).  For each candidate denominator
-  // q, the smallest p with NOT(B > p/q) gives the least fraction >= B with
-  // that denominator; the minimum over q is exactly B (attained when q is a
-  // multiple of B's reduced denominator).
-  const long long total_t = g.total_computation();
-  long long max_edge_delay = 0;
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    max_edge_delay =
-        std::max(max_edge_delay, static_cast<long long>(g.edge(e).delay));
-  const long long max_den =
-      std::min(g.total_delay(),
-               static_cast<long long>(g.node_count()) * max_edge_delay);
-  CCS_ASSERT(max_den >= 1);
-
-  Rational best{total_t + 1, 1};  // strictly above any possible bound
-  for (long long q = 1; q <= max_den; ++q) {
-    // Binary search the least p in [1, total_t * q] with !above(p, q).
-    long long lo = 1, hi = total_t * q;
-    // above(hi, q) is false: no cycle ratio exceeds total_t.
-    while (lo < hi) {
-      const long long mid = (lo + hi) / 2;
-      if (has_cycle_ratio_above(g, mid, q))
-        lo = mid + 1;
-      else
-        hi = mid;
+  CycleRatio out;
+  std::vector<Int128> dist(g.node_count()), weight(arcs.size());
+  std::vector<EdgeId> pred(g.node_count());
+  for (bool jumped = true; jumped;) {
+    // One probe at lambda = p/q.  |weight| < 2^95 and a pass adds at most
+    // |E| of them to a distance, so 128 bits leave ample headroom.
+    ++out.probes;
+    const Int128 p = out.ratio.num, q = out.ratio.den;
+    for (EdgeId eid = 0; eid < arcs.size(); ++eid)
+      weight[eid] = q * arcs[eid].time - p * arcs[eid].delay;
+    std::fill(dist.begin(), dist.end(), 0);
+    std::fill(pred.begin(), pred.end(), kNoPred);
+    jumped = false;
+    while (!jumped) {
+      bool changed = false;
+      for (EdgeId eid = 0; eid < arcs.size(); ++eid) {
+        const Int128 reach = dist[arcs[eid].from] + weight[eid];
+        if (reach > dist[arcs[eid].to]) {
+          dist[arcs[eid].to] = reach;
+          pred[arcs[eid].to] = eid;
+          changed = true;
+        }
+      }
+      if (!changed) break;  // converged: no cycle beats lambda
+      // A predecessor cycle is strictly positive at lambda: each edge was
+      // tight when set, its tail has only risen since, and the edge that
+      // closed it strictly improved.  So its ratio beats lambda.
+      const auto [t, d] = best_predecessor_cycle(arcs, pred);
+      if (d == 0) continue;
+      CCS_ASSERT(q * t > p * d);
+      out.ratio = Rational{t / std::gcd(t, d), d / std::gcd(t, d)};
+      jumped = true;
     }
-    const Rational cand{lo, q};
-    if (cand < best) best = cand;
   }
-  const long long gcd = std::gcd(best.num, best.den);
-  CCS_ENSURES(best.num >= 1 && best.num <= total_t);
-  return Rational{best.num / gcd, best.den / gcd};
+  out.potentials = std::move(dist);
+  return out;
 }
+
+Rational iteration_bound(const Csdfg& g) { return max_cycle_ratio(g).ratio; }
 
 }  // namespace ccs

@@ -10,10 +10,14 @@
 
 #include <compare>
 #include <string>
+#include <vector>
 
 #include "core/csdfg.hpp"
 
 namespace ccs {
+
+/// 128-bit integer for exact ratio arithmetic (GNU type, hence __extension__).
+__extension__ typedef __int128 Int128;  // NOLINT(modernize-use-using)
 
 /// An exact non-negative rational p/q in lowest terms.
 struct Rational {
@@ -24,33 +28,36 @@ struct Rational {
     return static_cast<double>(num) / static_cast<double>(den);
   }
   [[nodiscard]] std::string to_string() const;
+  /// Compares through 128-bit cross products, which cannot overflow.
   [[nodiscard]] friend std::strong_ordering operator<=>(const Rational& a,
                                                         const Rational& b) {
-    return a.num * b.den <=> b.num * a.den;
+    return static_cast<Int128>(a.num) * b.den <=>
+           static_cast<Int128>(b.num) * a.den;
   }
   [[nodiscard]] friend bool operator==(const Rational& a, const Rational& b) {
     return (a <=> b) == std::strong_ordering::equal;
   }
 };
 
-/// Computes the iteration bound of `g` exactly.
-///
-/// Method: the bound is the maximum cycle ratio of the edge-weighted graph
-/// with value(e) = t(source(e)) and cost(e) = d(e).  A candidate ratio
-/// lambda = p/q is feasible (lambda >= B) iff the graph with edge weights
-/// q*t(u) - p*d(e) has no positive cycle (checked by Bellman–Ford).  Since B
-/// is a ratio of (sum t over a simple cycle) / (sum d over that cycle), its
-/// denominator is at most total_delay(); a binary search over the
-/// Stern–Brocot tree of such fractions terminates with the exact value.
-///
-/// Acyclic graphs have bound 0/1.  Throws GraphError if `g` is illegal (a
-/// zero-delay cycle would make the bound infinite).
-[[nodiscard]] Rational iteration_bound(const Csdfg& g);
+/// The maximum cycle ratio of a graph with the certificate that proves it.
+struct CycleRatio {
+  Rational ratio;  ///< max over cycles of t(C)/d(C); 0/1 when acyclic.
+  int probes = 0;  ///< Bellman–Ford probes run, one per candidate ratio.
+  /// Converged longest-path distances at ratio p/q (weights q*t(u) - p*d(e),
+  /// id-order relaxation from all zeros): tight on every critical cycle.
+  std::vector<Int128> potentials;
+};
 
-/// True iff some cycle of the graph with edge weight q*t(u) - p*d(e) is
-/// strictly positive — i.e. the iteration bound exceeds p/q.  Exposed for
-/// testing.
-[[nodiscard]] bool has_cycle_ratio_above(const Csdfg& g, long long p,
-                                         long long q);
+/// Computes the maximum cycle ratio of `g` exactly, by cycle jumping:
+/// lambda = p/q starts at 0/1, and each round is one longest-path
+/// Bellman–Ford probe with weights q*t(u) - p*d(e).  A cycle among the
+/// predecessor edges after a pass is strictly positive at lambda, so its
+/// ratio becomes the next lambda; a probe that converges proves no cycle
+/// beats lambda, itself a cycle's ratio (docs/ALGORITHM.md §6).  Throws
+/// GraphError if `g` is illegal (a zero-delay cycle has infinite ratio).
+[[nodiscard]] CycleRatio max_cycle_ratio(const Csdfg& g);
+
+/// The iteration bound: max_cycle_ratio(g).ratio (0/1 when acyclic).
+[[nodiscard]] Rational iteration_bound(const Csdfg& g);
 
 }  // namespace ccs

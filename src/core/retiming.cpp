@@ -110,7 +110,8 @@ MinPeriodResult min_period_retiming(const Csdfg& g) {
   for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
     const Edge& e = g.edge(eid);
     const long long w = e.delay;
-    const long long d = g.node(e.from).time + g.node(e.to).time;
+    const long long d =
+        static_cast<long long>(g.node(e.from).time) + g.node(e.to).time;
     if (w < W(e.from, e.to) || (w == W(e.from, e.to) && d > D(e.from, e.to))) {
       W(e.from, e.to) = w;
       D(e.from, e.to) = d;

@@ -339,8 +339,14 @@ ServeResponseFields handle_solve(Service& s, const Solver& solver,
   degrade_request(q, rung);
   q.options.budget = job.deadline.budget(&s.drain);
   const SolveResponse res = solver.solve(q);
+  // Publish only what an unbudgeted solve would return: a run to completion,
+  // or a portfolio that stopped itself at its lower bound (gap 0) while
+  // neither the deadline nor the drain had fired, so no budget stop did.
+  const bool budget_fired =
+      s.drain.fired() || (!job.deadline.unlimited() && job.deadline.expired());
   if (rung == ServeRung::kFull && res.status == SolveStatus::kOk &&
-      res.certified && res.stop_reason.empty())
+      res.certified &&
+      (res.stop_reason.empty() || (res.gap == 0 && !budget_fired)))
     solver.publish(base, res);
   return fields_from_response(r, job.seq, res, serve_rung_name(rung));
 }

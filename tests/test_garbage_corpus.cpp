@@ -13,6 +13,7 @@
 #include "analysis/canon.hpp"
 #include "analysis/certify.hpp"
 #include "analysis/diagnostics.hpp"
+#include "cli/cli.hpp"
 #include "io/schedule_format.hpp"
 #include "io/serve_codec.hpp"
 #include "io/text_format.hpp"
@@ -211,6 +212,87 @@ TEST(GarbageCorpus, HugeNumericFieldsInEveryGrammar) {
   expect_survives("fail p1 @iter 99999999999999999999\n", "<num>");
   expect_survives("jitter C +99999999999999999999\n", "<num>");
   expect_survives("schedule 99999999999999999999 1\n", "<num>");
+}
+
+/// Runs one in-process CLI command on `graph` (read from stdin) and returns
+/// stdout; a non-zero exit fails the calling test.
+std::string cli_out(const std::vector<std::string>& args,
+                    const std::string& graph) {
+  std::istringstream in(graph);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli(args, in, out, err), 0) << err.str();
+  return out.str();
+}
+
+// Legal graphs whose times and delays sit at the int limit: the bound
+// arithmetic must neither overflow nor sweep ~10^9 denominators.
+TEST(GarbageCorpus, ExtremeTimesAndDelaysGetExactBounds) {
+  const std::string huge_delay =
+      "graph g\nnode a 1\nnode b 1\nedge a b 2147483647 1\n";
+  const std::string huge_cycle =
+      "graph g\nnode a 2147483647\nnode b 2147483646\n"
+      "edge a b 2147483647 1\nedge b a 2147483647 1\n";
+  const std::string near_million =
+      "graph g\nnode a 1\nnode b 2\nedge a b 3 1\nedge b a 4 1\n"
+      "edge a a 999999 1\nedge b b 1000000 1\n";
+  const auto with_mesh = [](const std::string& cmd) {
+    return std::vector<std::string>{cmd, "--arch", "mesh 2 2", "-"};
+  };
+
+  EXPECT_EQ(cli_out({"bound", "-"}, huge_delay), "0\n");
+  EXPECT_EQ(cli_out({"lint", "-"}, huge_delay), "");
+  EXPECT_EQ(cli_out(with_mesh("lint"), huge_delay),
+            "<stdin>:4: warning: edge a -> b: volume 1 cannot cross even one "
+            "link within the projected schedule length 1; the endpoints are "
+            "pinned to one processor [CCS-A002]\n"
+            "0 error(s), 1 warning(s), 0 note(s)\n");
+  const std::string delay_report = cli_out(with_mesh("analyze"), huge_delay);
+  EXPECT_NE(delay_report.find(
+                "<stdin>: note: lower bound 1 (this delay placement only): cut "
+                "after the 1 fastest PE(s): one-side fits need L >= 1, "
+                "crossing any edge needs L >= 1 in its delay window; floor 1 "
+                "(this delay placement only) [CCS-B005]\n"),
+            std::string::npos)
+      << delay_report;
+  EXPECT_NE(delay_report.find("0 error(s), 0 warning(s), 3 note(s)\n"),
+            std::string::npos);
+  EXPECT_NE(delay_report.find("composite lower bound 1 (CCS-B002) on "
+                              "mesh(2x2)\n"),
+            std::string::npos);
+
+  EXPECT_EQ(cli_out({"bound", "-"}, huge_cycle), "4294967293/4294967294\n");
+  EXPECT_EQ(cli_out({"lint", "-"}, huge_cycle), "");
+  EXPECT_EQ(cli_out(with_mesh("lint"), huge_cycle), "");
+  const std::string cycle_report = cli_out(with_mesh("analyze"), huge_cycle);
+  for (const char* line :
+       {"<stdin>: note: lower bound 1: critical cycle a -> b -> a "
+        "(t=4294967293, d=4294967294, ratio 4294967293/4294967294); L >= "
+        "ceil(4294967293/4294967294) = 1 [CCS-B001]\n",
+        "<stdin>: note: lower bound 2: critical cycle (t=4294967293, "
+        "d=4294967294, |C|=2): on one PE L >= 4294967293, split across PEs "
+        "L >= ceil((4294967293*1 + 1 + 1)/4294967294) = 2; floor 2 "
+        "[CCS-B004]\n",
+        "<stdin>: note: lower bound 1000000000 (this delay placement only): "
+        "cut after the 1 fastest PE(s): one-side fits need L >= 1431655765, "
+        "crossing any edge needs L >= 2 in its delay window; floor "
+        "1000000000 (this delay placement only) [CCS-B005]\n",
+        "0 error(s), 0 warning(s), 5 note(s)\n",
+        "composite lower bound 1000000000 (CCS-B002) on mesh(2x2)\n"})
+    EXPECT_NE(cycle_report.find(line), std::string::npos)
+        << line << "\n" << cycle_report;
+
+  EXPECT_EQ(cli_out({"bound", "-"}, near_million), "3/7\n");
+  EXPECT_EQ(cli_out(with_mesh("lint"), near_million), "");
+  const std::string far_report = cli_out(with_mesh("analyze"), near_million);
+  for (const char* line :
+       {"<stdin>: note: lower bound 1: critical cycle a -> b -> a (t=3, d=7, "
+        "ratio 3/7); L >= ceil(3/7) = 1 [CCS-B001]\n",
+        "<stdin>: note: lower bound 1: critical cycle (t=3, d=7, |C|=2): on "
+        "one PE L >= 3, split across PEs L >= ceil((3*1 + 1 + 1)/7) = 1; "
+        "floor 1 [CCS-B004]\n",
+        "composite lower bound 2 (CCS-B002) on mesh(2x2)\n"})
+    EXPECT_NE(far_report.find(line), std::string::npos)
+        << line << "\n" << far_report;
 }
 
 TEST(GarbageCorpus, DeterministicRandomBytesNeverCrashAnyParser) {

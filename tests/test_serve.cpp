@@ -18,6 +18,7 @@
 #include "io/text_format.hpp"
 #include "obs/trace_reader.hpp"
 #include "serve/service.hpp"
+#include "workloads/library.hpp"
 
 namespace ccs {
 namespace {
@@ -330,6 +331,64 @@ TEST(Serve, StatsOpReportsServiceAndCacheCounters) {
   EXPECT_EQ(field(r.responses[2], "op"), "stats");
   EXPECT_EQ(field(r.responses[2], "cache_entries"), "1");
   EXPECT_EQ(field(r.responses[2], "serve_cache_hits"), "1");
+}
+
+// paper_example6 on mesh 2 1 reaches its lower bound: the portfolio stops
+// itself ("preempted", gap 0) with no budget involved, so the answer is
+// what an unbudgeted solve returns and is published for the next request.
+TEST(Serve, AnswersThatReachTheirBoundArePublished) {
+  SolveCache::global().clear();
+  ServeOptions o;  // one worker: each answer is published before the next
+  const std::string paper6 = serialize_csdfg(paper_example6());
+  const char* renamed =  // relabeled, nodes and edges in another order
+      "graph renamed\nnode f 1\nnode e 2\nnode d 1\nnode c 1\nnode b 2\n"
+      "node a 1\nedge f e 1 1\nedge e f 0 1\nedge d f 0 2\nedge d a 3 3\n"
+      "edge c e 0 1\nedge b e 0 2\nedge b d 0 1\nedge a e 0 1\n"
+      "edge a c 0 1\nedge a b 0 1\n";
+  const std::string portfolio = ",\"mode\":\"portfolio\"";
+  std::string input;
+  input += solve_line("cold", paper6.c_str(), portfolio) + "\n";
+  input += solve_line("again", paper6.c_str(), portfolio) + "\n";
+  input += solve_line("renamed", renamed, portfolio) + "\n";
+  input += "{\"op\":\"stats\",\"id\":\"st\"}\n";
+  const ServeRun r = run(input, o);
+  ASSERT_EQ(r.responses.size(), 4u);
+  EXPECT_EQ(field(r.responses[0], "cache_hit"), "false");
+  EXPECT_EQ(field(r.responses[0], "stop_reason"), "preempted");
+  EXPECT_EQ(field(r.responses[0], "gap"), "0");
+  for (std::size_t i : {1u, 2u}) {
+    EXPECT_EQ(field(r.responses[i], "cache_hit"), "true") << r.responses[i];
+    EXPECT_EQ(field(r.responses[i], "length"),
+              field(r.responses[0], "length"));
+  }
+  EXPECT_EQ(field(r.responses[3], "serve_cache_hits"), "2");
+}
+
+// A portfolio that also stops itself at its bound, but is drained mid-solve:
+// a 1000-step self-loop task (bound 1000) beside a 400-task chain, so the
+// start-up schedule already meets the bound, while the O(V^3) CCS-B006
+// floor keeps the solve busy well past the 30 ms drain.  The answer still
+// reads "preempted" with gap 0, but the drain fired before solve()
+// returned, so it is not published.
+TEST(Serve, DrainPreemptedAnswersAreNotPublished) {
+  SolveCache::global().clear();
+  std::string slow = "graph slow\nnode big 1000\nedge big big 1 1\n";
+  for (int i = 0; i < 400; ++i) {
+    slow += "node c" + std::to_string(i) + " 1\n";
+    if (i > 0)
+      slow += "edge c" + std::to_string(i - 1) + " c" + std::to_string(i) +
+              " 0 1\n";
+  }
+  ServeOptions o;
+  o.drain_ms = 30;
+  const ServeRun r =
+      run(solve_line("slow", slow.c_str(), ",\"mode\":\"portfolio\"") + "\n",
+          o);
+  ASSERT_EQ(r.responses.size(), 1u);
+  EXPECT_EQ(field(r.responses[0], "status"), "ok") << r.responses[0];
+  EXPECT_EQ(field(r.responses[0], "stop_reason"), "preempted");
+  EXPECT_EQ(field(r.responses[0], "gap"), "0");
+  EXPECT_EQ(SolveCache::global().stats().entries, 0u);
 }
 
 TEST(Serve, OversizedLineRefusedUnparsed) {
