@@ -52,7 +52,8 @@ void print_summary() {
   for (const Topology& topo : bench::paper_architectures()) {
     const auto base = bench::run_checked(g, topo, RemapPolicy::kWithRelaxation);
     const RepairOutcome outcome =
-        repair_schedule(g, base, topo, fail_pe_zero());
+        repair_schedule(g, {base.retimed_graph, base.best, base.retiming},
+                        topo, fail_pe_zero());
     if (!outcome.success) {
       std::cerr << "repair failed on " << topo.name() << ": "
                 << outcome.detail << std::endl;
@@ -79,14 +80,16 @@ void BM_RepairAfterFailStop(benchmark::State& state) {
   const auto base = bench::run_checked(g, topo, RemapPolicy::kWithRelaxation);
   const FaultPlan plan = fail_pe_zero();
   for (auto _ : state) {
-    const RepairOutcome outcome = repair_schedule(g, base, topo, plan);
+    const RepairOutcome outcome = repair_schedule(
+        g, {base.retimed_graph, base.best, base.retiming}, topo, plan);
     benchmark::DoNotOptimize(outcome.success);
   }
   // One untimed metered run exports the ladder's own accounting
   // (repair.attempts, repair.successes, time.repair) into BENCH_*.json.
   MetricsRegistry metrics;
-  const RepairOutcome metered = repair_schedule(g, base, topo, plan, {},
-                                                ObsContext{nullptr, &metrics});
+  const RepairOutcome metered =
+      repair_schedule(g, {base.retimed_graph, base.best, base.retiming}, topo,
+                      plan, {}, ObsContext{nullptr, &metrics});
   state.counters["repaired_length"] = ::benchmark::Counter(
       metered.success ? static_cast<double>(metered.schedule->length()) : 0.0);
   bench::export_metrics(state, metrics);

@@ -36,6 +36,7 @@
 #include "core/graph_algo.hpp"
 #include "core/iteration_bound.hpp"
 #include "core/retiming.hpp"
+#include "obs/span.hpp"
 #include "util/contracts.hpp"
 
 namespace ccs {
@@ -457,8 +458,7 @@ public:
   [[nodiscard]] std::optional<BoundResult> run(
       const Csdfg& g, const BoundMachine& machine) const override {
     if (g.node_count() == 0) return std::nullopt;
-    const long long phi =
-        static_cast<long long>(min_period_retiming(g).period);
+    const long long phi = min_period_retiming(g).period;
     const long long s_min = machine.min_speed();
     BoundResult r;
     r.code = rule().code;
@@ -475,8 +475,7 @@ public:
   [[nodiscard]] bool reverify(const Csdfg& g, const BoundMachine& machine,
                               const BoundResult& result) const override {
     if (result.data.size() != 2) return false;
-    const long long phi =
-        static_cast<long long>(min_period_retiming(g).period);
+    const long long phi = min_period_retiming(g).period;
     return phi == result.data[0] &&
            result.data[1] == machine.min_speed() &&
            result.value == as_bound(phi * result.data[1]);
@@ -523,6 +522,9 @@ const BoundResult* CompositeBound::part(std::string_view code) const {
 }
 
 CompositeBound compute_bounds(const Csdfg& g, const BoundMachine& machine) {
+  // No ObsContext parameter: the span rides the process-global profiler
+  // hook, like the certifier's phases.
+  const ObsSpan span(SpanProfiler::process(), "bounds");
   CCS_EXPECTS(machine.num_pes >= 1);
   g.require_legal();
   CompositeBound out;

@@ -171,9 +171,10 @@ void unfold_cross_check(const Csdfg& g, const NormSchedule& s, int factor,
 /// schedules: a table that already failed certification proves nothing
 /// about the bounds.
 void cross_check_sound_bounds(const Csdfg& g, const NormSchedule& s,
-                              const CommModel& comm, DiagnosticBag& bag) {
+                              const CommModel& comm, DiagnosticBag& bag,
+                              CompositeBound* bound = nullptr) {
   (void)cross_check_schedule_bound(g, s.length, s.speeds, s.pipelined, comm,
-                                   s.whole, bag);
+                                   s.whole, bag, bound);
 }
 
 }  // namespace
@@ -181,14 +182,17 @@ void cross_check_sound_bounds(const Csdfg& g, const NormSchedule& s,
 bool cross_check_schedule_bound(const Csdfg& g, int length,
                                 const std::vector<int>& pe_speeds,
                                 bool pipelined, const CommModel& comm,
-                                const SourceSpan& span, DiagnosticBag& bag) {
+                                const SourceSpan& span, DiagnosticBag& bag,
+                                CompositeBound* bound) {
   if (!g.is_legal() || pe_speeds.empty()) return true;
   BoundMachine machine;
   machine.num_pes = pe_speeds.size();
   machine.speeds = pe_speeds;
   machine.pipelined = pipelined;
   machine.comm = &comm;
-  const CompositeBound bounds = compute_bounds(g, machine);
+  CompositeBound local;
+  CompositeBound& bounds = bound != nullptr ? *bound : local;
+  bounds = compute_bounds(g, machine);
   if (length >= bounds.local_value) return true;
   std::ostringstream os;
   os << "certified schedule of length " << length
@@ -301,7 +305,8 @@ bool certify_schedule(const Csdfg& g, const RawSchedule& raw,
 
 bool certify_table(const Csdfg& g, const ScheduleTable& table,
                    const CommModel& comm, const std::string& label,
-                   DiagnosticBag& bag, const CertifyOptions& options) {
+                   DiagnosticBag& bag, const CertifyOptions& options,
+                   CompositeBound* bound) {
   const ObsSpan phase(SpanProfiler::process(), "certify.table");
   const ErrorWatch watch(bag);
   NormSchedule s;
@@ -316,7 +321,7 @@ bool certify_table(const Csdfg& g, const ScheduleTable& table,
 
   check_norm(g, s, comm, bag);
   if (watch.clean()) unfold_cross_check(g, s, options.unfold_factor, comm, bag);
-  if (watch.clean()) cross_check_sound_bounds(g, s, comm, bag);
+  if (watch.clean()) cross_check_sound_bounds(g, s, comm, bag, bound);
   return watch.clean();
 }
 
@@ -342,7 +347,8 @@ bool certify_compaction_run(const Csdfg& original,
                             const CommModel& comm, RemapPolicy policy,
                             const std::string& label,
                             const CertifyOptions& options,
-                            DiagnosticBag& bag) {
+                            DiagnosticBag& bag,
+                            CompositeBound* startup_bound) {
   const ObsSpan phase(SpanProfiler::process(), "certify.run");
   const ErrorWatch watch(bag);
   const SourceSpan span{label, 0};
@@ -416,7 +422,7 @@ bool certify_compaction_run(const Csdfg& original,
   }
 
   (void)certify_table(original, result.startup, comm, label + " (startup)",
-                      bag, options);
+                      bag, options, startup_bound);
   (void)certify_table(result.retimed_graph, result.best, comm,
                       label + " (best)", bag, options);
   return watch.clean();

@@ -40,6 +40,8 @@
 
 namespace ccs {
 
+struct CompositeBound;  // analysis/bounds.hpp
+
 /// Knobs of the certifier.
 struct CertifyOptions {
   /// Unfolding factor for the translation-validation cross-check
@@ -64,13 +66,17 @@ struct CertifyOptions {
                                     DiagnosticBag& bag);
 
 /// Certifies an in-memory table (same checks minus file-only ones); spans
-/// anchor to `label` as a whole.  Used by `--certify` on the schedule and
-/// simulate commands and by the run-level audit below.
+/// anchor to `label` as a whole.  Used by the Solver, `simulate --certify`
+/// and the run-level audit below.  A non-null `bound` receives the
+/// CCS-S015 composite of (`g`, the table's machine) whenever that check ran
+/// (only after every other check passed), so a caller that needs the bound
+/// pays for it once; otherwise it is left untouched.
 [[nodiscard]] bool certify_table(const Csdfg& g, const ScheduleTable& table,
                                  const CommModel& comm,
                                  const std::string& label,
                                  DiagnosticBag& bag,
-                                 const CertifyOptions& options = {});
+                                 const CertifyOptions& options = {},
+                                 CompositeBound* bound = nullptr);
 
 /// Defense-in-depth cross-check behind CCS-S015: a schedule of `length`
 /// control steps that certified clean for `g` on the machine described by
@@ -80,13 +86,15 @@ struct CertifyOptions {
 /// certifier, so a violation means one of the three is wrong.  Runs
 /// automatically after every clean certify_schedule / certify_table;
 /// exposed so tests can pin the diagnostic without having to break the
-/// bound derivation itself.  Returns true iff no finding was added.
+/// bound derivation itself.  Returns true iff no finding was added.  A
+/// non-null `bound` receives the composite the check computed.
 [[nodiscard]] bool cross_check_schedule_bound(const Csdfg& g, int length,
                                               const std::vector<int>& pe_speeds,
                                               bool pipelined,
                                               const CommModel& comm,
                                               const SourceSpan& span,
-                                              DiagnosticBag& bag);
+                                              DiagnosticBag& bag,
+                                              CompositeBound* bound = nullptr);
 
 /// Bridges a core validator report into coded diagnostics anchored at
 /// `span`: kUnplacedTask -> CCS-S002, kOutOfTable -> CCS-S003,
@@ -105,14 +113,18 @@ bool bridge_validation_report(const ValidationReport& report,
 ///    (CCS-S010);
 ///  * both the start-up and best tables certify clean (including the
 ///    unfold cross-check).
-/// `label` names the run in spans.  Returns true iff clean.
+/// `label` names the run in spans.  Returns true iff clean.  A non-null
+/// `startup_bound` receives the start-up table's CCS-S015 composite — a
+/// bound of `original` itself (see certify_table).
 [[nodiscard]] bool certify_compaction_run(const Csdfg& original,
                                           const CycloCompactionResult& result,
                                           const CommModel& comm,
                                           RemapPolicy policy,
                                           const std::string& label,
                                           const CertifyOptions& options,
-                                          DiagnosticBag& bag);
+                                          DiagnosticBag& bag,
+                                          CompositeBound* startup_bound =
+                                              nullptr);
 
 /// Structural audit of a recorded JSONL trace (no re-run): every line
 /// parses as a flat object with contiguous `seq` from 0 and a known

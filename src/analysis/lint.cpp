@@ -212,7 +212,7 @@ public:
     if (g.node_count() == 0) return;
     // Width proxy: the largest set of tasks sharing an ASAP control step.
     const DagTiming timing = compute_dag_timing(g);
-    std::map<int, std::size_t> per_step;
+    std::map<long long, std::size_t> per_step;
     std::size_t width = 0;
     for (NodeId v = 0; v < g.node_count(); ++v)
       width = std::max(width, ++per_step[timing.asap_cb[v]]);

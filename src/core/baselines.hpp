@@ -40,7 +40,7 @@ namespace ccs {
 struct RetimeThenScheduleResult {
   Csdfg retimed_graph;   ///< The min-period retimed graph.
   ScheduleTable table;   ///< Communication-aware start-up schedule of it.
-  int min_period = 0;    ///< The period the retiming achieved.
+  long long min_period = 0;  ///< The period the retiming achieved.
 };
 
 /// Minimum-period retiming followed by one communication-aware start-up

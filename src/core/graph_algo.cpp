@@ -47,15 +47,15 @@ DagTiming compute_dag_timing(const Csdfg& g) {
     for (EdgeId eid : g.out_edges(v)) {
       const Edge& e = g.edge(eid);
       if (e.delay != 0) continue;
-      t.asap_cb[e.to] =
-          std::max(t.asap_cb[e.to], t.asap_cb[v] + g.node(v).time);
+      t.asap_cb[e.to] = std::max<long long>(t.asap_cb[e.to],
+                                            t.asap_cb[v] + g.node(v).time);
     }
   }
 
   t.critical_path = 0;
   for (NodeId v = 0; v < n; ++v)
-    t.critical_path =
-        std::max(t.critical_path, t.asap_cb[v] - 1 + g.node(v).time);
+    t.critical_path = std::max<long long>(t.critical_path,
+                                          t.asap_cb[v] - 1 + g.node(v).time);
 
   t.alap_cb.assign(n, 0);
   for (NodeId v = 0; v < n; ++v)
@@ -65,7 +65,8 @@ DagTiming compute_dag_timing(const Csdfg& g) {
     for (EdgeId eid : g.out_edges(v)) {
       const Edge& e = g.edge(eid);
       if (e.delay != 0) continue;
-      t.alap_cb[v] = std::min(t.alap_cb[v], t.alap_cb[e.to] - g.node(v).time);
+      t.alap_cb[v] =
+          std::min<long long>(t.alap_cb[v], t.alap_cb[e.to] - g.node(v).time);
     }
   }
 

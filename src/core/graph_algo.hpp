@@ -15,21 +15,22 @@ namespace ccs {
 
 /// ASAP/ALAP timing of the zero-delay DAG (resource- and
 /// communication-unconstrained).  Control steps are 1-based, matching the
-/// paper's schedule tables.
+/// paper's schedule tables.  64-bit: a zero-delay path of int-sized task
+/// times sums past INT_MAX.
 struct DagTiming {
   /// Earliest start step of each node.
-  std::vector<int> asap_cb;
+  std::vector<long long> asap_cb;
   /// Latest start step of each node such that the critical path length is
   /// not exceeded.
-  std::vector<int> alap_cb;
+  std::vector<long long> alap_cb;
   /// Length of the critical path in control steps (the minimum possible
   /// schedule length with unlimited processors and free communication).
-  int critical_path = 0;
+  long long critical_path = 0;
 
   /// Mobility of node v (Def. 3.4 specialized to the start of scheduling):
   /// alap_cb[v] - asap_cb[v].  A node with zero mobility is on the critical
   /// path.
-  [[nodiscard]] int mobility(NodeId v) const {
+  [[nodiscard]] long long mobility(NodeId v) const {
     return alap_cb[v] - asap_cb[v];
   }
 };

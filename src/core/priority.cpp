@@ -32,7 +32,7 @@ long long priority_value(PriorityRule rule, const Csdfg& g,
     case PriorityRule::kCommunicationSensitive:
       return priority_pf(g, table, timing, v, cs_cur);
     case PriorityRule::kMobilityOnly:
-      return -static_cast<long long>(timing.alap_cb[v] - cs_cur);
+      return -(timing.alap_cb[v] - cs_cur);
     case PriorityRule::kFifo:
       return -static_cast<long long>(v);
   }

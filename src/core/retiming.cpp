@@ -57,7 +57,9 @@ void Retiming::apply(Csdfg& g) const {
   for (EdgeId e = 0; e < g.edge_count(); ++e) g.set_delay(e, new_delay[e]);
 }
 
-int clock_period(const Csdfg& g) { return compute_dag_timing(g).critical_path; }
+long long clock_period(const Csdfg& g) {
+  return compute_dag_timing(g).critical_path;
+}
 
 namespace {
 
@@ -186,7 +188,7 @@ MinPeriodResult min_period_retiming(const Csdfg& g) {
 
   Csdfg retimed = g;
   r.apply(retimed);
-  const int achieved = clock_period(retimed);
+  const long long achieved = clock_period(retimed);
   CCS_ENSURES(achieved <= best);
   return {r, achieved};
 }

@@ -67,12 +67,12 @@ private:
 /// The clock period of a CSDFG: the maximum total computation time along any
 /// zero-delay path (what a synchronous implementation of one iteration
 /// requires; equals the zero-delay-DAG critical path).
-[[nodiscard]] int clock_period(const Csdfg& g);
+[[nodiscard]] long long clock_period(const Csdfg& g);
 
 /// Result of min-period retiming.
 struct MinPeriodResult {
   Retiming retiming;  ///< A legal retiming achieving `period`.
-  int period = 0;     ///< The minimum achievable clock period.
+  long long period = 0;  ///< The minimum achievable clock period.
 };
 
 /// Leiserson–Saxe minimum-period retiming, adapted to node-weighted CSDFGs

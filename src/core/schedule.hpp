@@ -21,6 +21,12 @@
 
 namespace ccs {
 
+/// Largest schedule the toolkit builds or reads, in control steps.  Tables
+/// materialize one row per step, so the schedule readers
+/// (io/schedule_format.hpp) refuse longer declared lengths and the Solver
+/// refuses bodies whose longest task alone would exceed it.
+inline constexpr int kMaxScheduleLength = 1'000'000;
+
 /// Where a task sits in the table.
 struct Placement {
   PeId pe = 0;  ///< Executing processor.

@@ -266,8 +266,10 @@ std::shared_ptr<const SolveCache::Entry> make_cache_entry(
   entry->pipelined = res.schedule->pipelined_pes();
   entry->startup_length = res.startup_length;
   entry->best_length = res.best_length;
+  entry->passes = res.passes;
   entry->stop_reason = res.stop_reason;
   entry->lower_bound = res.lower_bound;
+  entry->bound_pass = res.bound_pass;
   entry->attempts = res.attempts;
   entry->winner_attempt = res.winner_attempt;
   entry->winner_label = res.winner_label;
@@ -330,8 +332,14 @@ bool translate_cached(const SolveCache::Entry& entry,
     out.schedule.emplace(std::move(table));
     out.startup_length = entry.startup_length;
     out.best_length = entry.best_length;
+    out.passes = entry.passes;
     out.stop_reason = entry.stop_reason;
     out.lower_bound = entry.lower_bound;
+    out.bound_pass = entry.bound_pass;
+    if (out.lower_bound > 0) {
+      out.gap = out.best_length - out.lower_bound;
+      out.optimal = out.gap == 0;  // entries hold certified answers only
+    }
     out.attempts = entry.attempts;
     out.winner_attempt = entry.winner_attempt;
     out.winner_label = entry.winner_label;

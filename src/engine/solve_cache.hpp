@@ -96,11 +96,15 @@ public:
     int table_length = 0;
     std::vector<int> pe_speeds;
     bool pipelined = false;
-    /// Response bookkeeping, replayed verbatim (all node-id independent).
+    /// Response bookkeeping, replayed verbatim (all node-id independent;
+    /// the bound witness names tasks, so a translated answer leaves it
+    /// empty).
     int startup_length = 0;
     int best_length = 0;
+    int passes = 0;
     std::string stop_reason;
     int lower_bound = 0;
+    std::string bound_pass;
     std::vector<AttemptOutcome> attempts;
     int winner_attempt = -1;
     std::string winner_label;

@@ -1,10 +1,11 @@
 // ccsched — the stable library facade.
 //
-// PRs 1–4 each grew their own entry points (cyclo_compact, certify_*,
-// repair_schedule, and now portfolio_compact), every one with its own
-// options struct and its own failure convention — some throw, some return
-// report objects, some write diagnostics.  The Solver collapses all of
-// them behind one request/response pair:
+// The toolkit's entry points (cyclo_compact, modulo_schedule, certify_*,
+// repair_schedule, portfolio_compact) each have their own options struct
+// and their own failure convention — some throw, some return report
+// objects, some write diagnostics.  The Solver collapses all of them
+// behind one request/response pair, and it is the one dispatch path the
+// CLI (`schedule`, `stress`), `serve` and the examples share:
 //
 //     ccs::Solver solver;
 //     ccs::SolveRequest req;
@@ -12,6 +13,10 @@
 //     req.arch = "mesh 2 2";
 //     ccs::SolveResponse res = solver.solve(req);
 //     if (res.ok()) use(*res.schedule);
+//
+// solve() always runs cold.  The certified SolveCache
+// (engine/solve_cache.hpp) is a separate, opt-in protocol around it:
+// try_cached(req) -> on a miss solve(req) -> publish(req, res).
 //
 // Error contract (docs/API.md): solve() does not throw.  Anything that
 // would have surfaced as a GraphError / ArchitectureError / ParseError /
@@ -98,6 +103,9 @@ struct SolveRequest {
   /// kRepair: fault-spec text (docs/ROBUSTNESS.md grammar).
   std::string faults;
   /// Certify whatever schedule the solve produces (kCertify always does).
+  /// kSchedule audits the whole compaction run (certify_compaction_run:
+  /// retiming provenance, Theorem 4.4 monotonicity, the start-up and best
+  /// tables); the other modes certify the table they answer with.
   bool certify = true;
   CertifyOptions certify_options;
 };
@@ -119,6 +127,9 @@ struct SolveResponse {
   std::optional<Topology> machine;
   int startup_length = 0;
   int best_length = 0;
+  /// Compaction passes the run executed (kSchedule; the winning attempt's
+  /// for kPortfolio); 0 for modes that do not compact.
+  int passes = 0;
   /// CycloCompactionResult::stop_reason for budgeted runs.
   std::string stop_reason;
   /// True when the schedule was certified (vacuously true when
@@ -126,9 +137,19 @@ struct SolveResponse {
   bool certified = false;
   /// Static composite lower bound for (request.graph, machine): the
   /// retiming-invariant CCS-B composite (analysis/bounds.hpp), so it holds
-  /// for the retimed schedules compaction produces.  0 when no schedule
-  /// was produced, and for kRepair (the machine shrinks mid-solve).
+  /// for the retimed schedules compaction produces.  The solve reuses a
+  /// composite it already built — the portfolio's pruning floor, or the
+  /// certifier's CCS-S015 composite of a table of the request graph
+  /// (kStartup, kSchedule) — and runs compute_bounds itself only for a
+  /// certified answer without one (kModulo, kCertify).  0 when no schedule
+  /// was produced, for uncertified answers other than kPortfolio, and for
+  /// kRepair (the machine shrinks mid-solve).
   int lower_bound = 0;
+  /// The CCS-B pass that attains lower_bound ("CCS-B004", ...) and its
+  /// human-readable witness; empty when lower_bound is 0.  The witness
+  /// names tasks, so an answer translated from the cache leaves it empty.
+  std::string bound_pass;
+  std::string bound_witness;
   /// best_length - lower_bound, or -1 when lower_bound is unknown.  A gap
   /// of 0 means no schedule on this machine can be shorter.
   int gap = -1;
@@ -142,7 +163,7 @@ struct SolveResponse {
   /// witness permutation.
   bool cache_hit = false;
   /// Canonical 128-bit graph fingerprint (analysis/canon.hpp) as 32 hex
-  /// digits, filled whenever the request was cacheable.  Equal across all
+  /// digits, filled on answers served by try_cached().  Equal across all
   /// attribute-isomorphic relabelings of the graph.
   std::string fingerprint;
   /// kPortfolio: per-attempt provenance and the winner's identity.
@@ -176,24 +197,26 @@ public:
   Solver() = default;
   explicit Solver(ObsContext obs) : obs_(obs) {}
 
-  /// Executes the request.  Never throws (see the error contract above).
+  /// Executes the request, always cold: it neither reads nor writes the
+  /// SolveCache.  Never throws (see the error contract above).
   [[nodiscard]] SolveResponse solve(const SolveRequest& request) const;
 
   /// Cache-only solve: answers from the SolveCache (tier-1 replay or
   /// tier-2 translate + CCS-S016 re-certification) without ever running
   /// the solver, or returns nullopt on a miss / an uncacheable request.
-  /// Never throws.  The serve path probes this first so a deadline-
-  /// pressured request can still collect a full certified answer in
-  /// microseconds before the degradation ladder spends any budget.
+  /// Never throws.  Step one of the cache protocol; serve probes it first
+  /// so a deadline-pressured request can still collect a full certified
+  /// answer in microseconds before the degradation ladder spends any
+  /// budget.
   [[nodiscard]] std::optional<SolveResponse> try_cached(
       const SolveRequest& request) const;
 
-  /// Publishes an externally produced certified response for `request`
-  /// into the SolveCache, exactly as a cold solve() would have.  No-op
-  /// (never throws) unless the request is cacheable and the response is
-  /// ok + certified with a complete schedule.  The serve path uses this to
-  /// share answers computed under a wall-clock budget (which solve()
-  /// itself refuses to cache) after stripping the budget from `request`.
+  /// Publishes a certified response to `request` (typically the solve()
+  /// that followed a try_cached() miss) into the SolveCache for every
+  /// future isomorphic resubmission.  No-op (never throws) unless the
+  /// request is cacheable and the response is ok + certified with a
+  /// complete schedule.  Serve publishes answers computed under a
+  /// wall-clock budget after stripping the budget from `request`.
   void publish(const SolveRequest& request, const SolveResponse& res) const;
 
 private:

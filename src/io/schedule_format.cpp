@@ -20,8 +20,8 @@ namespace {
 /// rows (ScheduleTable::ensure_rows), so a hostile `schedule 2000000000 2`
 /// or `place A 1 2000000000` would be an allocation bomb, not a parse
 /// error.  Generous for real workloads (the paper's tables are < 100
-/// steps on < 20 PEs).
-constexpr int kMaxScheduleLength = 1'000'000;
+/// steps on < 20 PEs); the step cap is core/schedule.hpp's
+/// kMaxScheduleLength.
 constexpr long long kMaxSchedulePes = 65'536;
 
 }  // namespace

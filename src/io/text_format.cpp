@@ -144,13 +144,17 @@ ParsedCsdfg parse_csdfg_with_spans(const std::string& text,
   return parse_csdfg_with_spans(in, filename, bag);
 }
 
-Csdfg parse_csdfg(std::istream& in) {
-  DiagnosticBag bag;
-  ParsedCsdfg parsed = parse_csdfg_with_spans(in, "<input>", bag);
+void require_strict_parse(const ParsedCsdfg& parsed, DiagnosticBag& bag) {
   bag.finalize();
   for (const Diagnostic& d : bag.diagnostics())
     if (d.severity == Severity::kError) throw ParseError(d.span.line, d.message);
   parsed.graph.require_legal();
+}
+
+Csdfg parse_csdfg(std::istream& in) {
+  DiagnosticBag bag;
+  ParsedCsdfg parsed = parse_csdfg_with_spans(in, "<input>", bag);
+  require_strict_parse(parsed, bag);
   return std::move(parsed.graph);
 }
 

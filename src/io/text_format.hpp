@@ -48,9 +48,14 @@ struct ParsedCsdfg {
                                                  const std::string& filename,
                                                  DiagnosticBag& bag);
 
-/// Parses the CSDFG text format strictly.  Throws ParseError carrying the
-/// (line, message) pair of the first problem on malformed input,
-/// GraphError on zero-delay cycles.
+/// The strict parser's acceptance test on a lenient parse: finalizes
+/// `bag`, then throws ParseError carrying the (line, message) pair of its
+/// first error, or GraphError when the graph has a zero-delay cycle.  Lets
+/// a caller that also lints the graph parse it once.
+void require_strict_parse(const ParsedCsdfg& parsed, DiagnosticBag& bag);
+
+/// Parses the CSDFG text format strictly: the lenient parse plus
+/// require_strict_parse.
 [[nodiscard]] Csdfg parse_csdfg(std::istream& in);
 
 /// Parses from a string (convenience for tests and embedded specs).

@@ -91,8 +91,7 @@ std::string_view repair_rung_name(RepairRung rung) {
   return "infeasible";
 }
 
-RepairOutcome repair_schedule(const Csdfg& g,
-                              const CycloCompactionResult& baseline,
+RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
                               const Topology& topo, const FaultPlan& plan,
                               const RepairOptions& options,
                               const ObsContext& obs) {
@@ -109,11 +108,11 @@ RepairOutcome repair_schedule(const Csdfg& g,
   // Orphans: tasks whose baseline placement died with its processor (plus,
   // defensively, anything the baseline never placed).
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (!baseline.best.is_placed(v)) {
+    if (!baseline.table.is_placed(v)) {
       out.orphans.push_back(v);
       continue;
     }
-    const PeId p = baseline.best.pe(v);
+    const PeId p = baseline.table.pe(v);
     if (p >= rm.from_original.size() || rm.from_original[p] == kNoPe)
       out.orphans.push_back(v);
   }
@@ -159,19 +158,19 @@ RepairOutcome repair_schedule(const Csdfg& g,
     // --- rung 0: keep the survivors, remap only the orphans ---------------
     {
       const ObsSpan rung_span = obs.span("repair.remap");
-      ScheduleTable base = empty_table(baseline.retimed_graph,
+      ScheduleTable base = empty_table(baseline.graph,
                                        rm.topo->size(), speeds,
                                        options.pipelined_pes);
       std::vector<bool> orphaned(g.node_count(), false);
       for (NodeId v : out.orphans) orphaned[v] = true;
       for (NodeId v = 0; v < g.node_count(); ++v) {
         if (orphaned[v]) continue;
-        base.place(v, rm.from_original[baseline.best.pe(v)],
-                   baseline.best.cb(v));
+        base.place(v, rm.from_original[baseline.table.pe(v)],
+                   baseline.table.cb(v));
       }
-      base.set_length(std::max(baseline.best.length(),
+      base.set_length(std::max(baseline.table.length(),
                                base.occupied_length()));
-      RemapEngine engine(baseline.retimed_graph, comm);
+      RemapEngine engine(baseline.graph, comm);
       engine.bind(base);
 
       bool rung_recorded = false;
@@ -183,7 +182,7 @@ RepairOutcome repair_schedule(const Csdfg& g,
         if (!length) continue;
 
         DiagnosticBag bag;
-        Candidate cand{engine.table(), baseline.retimed_graph,
+        Candidate cand{engine.table(), baseline.graph,
                        baseline.retiming};
         if (certify_table(cand.graph, cand.table, comm, "repair/remap", bag,
                           options.certify)) {

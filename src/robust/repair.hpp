@@ -134,16 +134,26 @@ struct RepairOutcome {
   std::vector<std::string> attempts;
 };
 
-/// Repairs `baseline` (a cyclo-compaction run of `g` on `topo`) against the
-/// terminal machine state of `plan`: walks the degradation ladder on the
-/// reduced machine and returns the first rung whose candidate certifies.
+/// The schedule a repair starts from — all it reads of a solve of `g` on
+/// the intact machine: the table, the (retimed) graph the table satisfies,
+/// and the retiming from `g` to that graph.  Non-owning.
+struct RepairBaseline {
+  const Csdfg& graph;
+  const ScheduleTable& table;
+  const Retiming& retiming;
+};
+
+/// Repairs `baseline` (a schedule of `g` on `topo`, e.g. a cyclo-compaction
+/// run's best table) against the terminal machine state of `plan`: walks
+/// the degradation ladder on the reduced machine and returns the first rung
+/// whose candidate certifies.
 ///
 /// Deterministic.  Never throws on fault-plan content (an all-dead machine
 /// yields rung == kInfeasible); throws GraphError only if `g` itself is
 /// illegal.  `obs` receives one repair_attempt event per rung tried plus
 /// the repair.* counters.
 [[nodiscard]] RepairOutcome repair_schedule(const Csdfg& g,
-                                            const CycloCompactionResult& baseline,
+                                            const RepairBaseline& baseline,
                                             const Topology& topo,
                                             const FaultPlan& plan,
                                             const RepairOptions& options = {},

@@ -164,8 +164,8 @@ TEST(MinPeriod, SlowdownEnablesShorterPeriods) {
   // c-slowing a graph divides its iteration bound by c, letting min-period
   // retiming pipeline deeper: the retimed period must not increase.
   const Csdfg g = elliptic_filter();
-  const int p1 = min_period_retiming(g).period;
-  const int p3 = min_period_retiming(slowdown(g, 3)).period;
+  const long long p1 = min_period_retiming(g).period;
+  const long long p3 = min_period_retiming(slowdown(g, 3)).period;
   EXPECT_LE(p3, p1);
 }
 

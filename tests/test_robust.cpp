@@ -317,7 +317,8 @@ TEST(Repair, SinglePeFailStopRepairsEveryLibraryWorkload) {
   for (const Csdfg& g : workloads) {
     const CycloCompactionResult base = cyclo_compact(g, mesh, comm);
     const RepairOutcome outcome =
-        repair_schedule(g, base, mesh, fail_pe(0));
+        repair_schedule(g, {base.retimed_graph, base.best, base.retiming},
+                        mesh, fail_pe(0));
     EXPECT_TRUE(outcome.success) << g.name() << ": " << outcome.detail;
     EXPECT_NE(outcome.rung, RepairRung::kInfeasible) << g.name();
     ASSERT_TRUE(outcome.schedule.has_value()) << g.name();
@@ -351,7 +352,8 @@ TEST(Repair, SinglePeFailStopRepairsEveryExampleDataWorkload) {
     const Csdfg g = parse_csdfg(text.str());
     const CycloCompactionResult base = cyclo_compact(g, mesh, comm);
     const RepairOutcome outcome =
-        repair_schedule(g, base, mesh, fail_pe(0));
+        repair_schedule(g, {base.retimed_graph, base.best, base.retiming},
+                        mesh, fail_pe(0));
     EXPECT_TRUE(outcome.success)
         << entry.path().filename() << ": " << outcome.detail;
   }
@@ -365,7 +367,8 @@ TEST(Repair, DeadLinkOnlyPlanKeepsEverySurvivorPlacement) {
   const CycloCompactionResult base = cyclo_compact(g, mesh, comm);
   FaultPlan plan;
   plan.link_faults.push_back({0, 1, 0});
-  const RepairOutcome outcome = repair_schedule(g, base, mesh, plan);
+  const RepairOutcome outcome = repair_schedule(
+      g, {base.retimed_graph, base.best, base.retiming}, mesh, plan);
   ASSERT_TRUE(outcome.success) << outcome.detail;
   EXPECT_TRUE(outcome.orphans.empty());
   EXPECT_EQ(outcome.machine->size(), 4u);
@@ -381,7 +384,8 @@ TEST(Repair, DisconnectedSurvivorsFallThroughToSerial) {
   const Topology line = make_linear_array(3);
   const StoreAndForwardModel comm(line);
   const CycloCompactionResult base = cyclo_compact(g, line, comm);
-  const RepairOutcome outcome = repair_schedule(g, base, line, fail_pe(1));
+  const RepairOutcome outcome = repair_schedule(
+      g, {base.retimed_graph, base.best, base.retiming}, line, fail_pe(1));
   ASSERT_TRUE(outcome.success) << outcome.detail;
   EXPECT_EQ(outcome.rung, RepairRung::kSerial);
   EXPECT_EQ(outcome.machine->size(), 1u);
@@ -396,7 +400,8 @@ TEST(Repair, AllProcessorsDeadIsInfeasible) {
   FaultPlan plan;
   plan.pe_faults.push_back({0, 0});
   plan.pe_faults.push_back({1, 0});
-  const RepairOutcome outcome = repair_schedule(g, base, pair, plan);
+  const RepairOutcome outcome = repair_schedule(
+      g, {base.retimed_graph, base.best, base.retiming}, pair, plan);
   EXPECT_FALSE(outcome.success);
   EXPECT_EQ(outcome.rung, RepairRung::kInfeasible);
   EXPECT_FALSE(outcome.schedule.has_value());
@@ -408,8 +413,9 @@ TEST(Repair, DeterministicAcrossRuns) {
   const Topology mesh = make_mesh(2, 2);
   const StoreAndForwardModel comm(mesh);
   const CycloCompactionResult base = cyclo_compact(g, mesh, comm);
-  const RepairOutcome a = repair_schedule(g, base, mesh, fail_pe(2));
-  const RepairOutcome b = repair_schedule(g, base, mesh, fail_pe(2));
+  const RepairBaseline baseline{base.retimed_graph, base.best, base.retiming};
+  const RepairOutcome a = repair_schedule(g, baseline, mesh, fail_pe(2));
+  const RepairOutcome b = repair_schedule(g, baseline, mesh, fail_pe(2));
   ASSERT_TRUE(a.success);
   EXPECT_EQ(a.rung, b.rung);
   EXPECT_EQ(a.attempts, b.attempts);
@@ -426,7 +432,8 @@ TEST(Repair, EmitsOneAttemptEventPerRungTried) {
   Tracer tracer(&sink);
   MetricsRegistry metrics;
   const RepairOutcome outcome = repair_schedule(
-      g, base, mesh, fail_pe(0), {}, ObsContext{&tracer, &metrics});
+      g, {base.retimed_graph, base.best, base.retiming}, mesh, fail_pe(0), {},
+      ObsContext{&tracer, &metrics});
   ASSERT_TRUE(outcome.success);
   int attempt_lines = 0;
   for (const std::string& line : sink.lines())
