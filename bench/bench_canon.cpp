@@ -9,10 +9,11 @@
 //    on the paper's 19-node workload (expected well above 100x: the hit
 //    path is a map lookup + witness translation + re-certification);
 //  * CI gate — print_quality_gate() resubmits paper_example19 under a
-//    random relabeling, requires the hit to be served from the cache,
-//    fully CCS-S016-certified, and identical in every length to the cold
-//    solve, and aborts when the measured speedup collapses.  The exported
-//    `cache.miss_rate` counter is the monotone counterpart of
+//    random relabeling through the cache protocol (Solver::try_cached,
+//    then solve + publish on a miss), requires the hit to be served from
+//    the cache, fully CCS-S016-certified, and identical in every length to
+//    the cold solve, and aborts when the measured speedup collapses.  The
+//    exported `cache.miss_rate` counter is the monotone counterpart of
 //    `cache.hit_rate`: a hit-rate drop is a miss-rate growth, which
 //    `ccsched report --diff --gate cache.miss` turns into a CI failure.
 #include <benchmark/benchmark.h>
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -65,6 +67,14 @@ Csdfg relabel(const Csdfg& g, std::mt19937& rng) {
   return out;
 }
 
+/// The cache protocol serve runs: probe, solve cold on a miss, publish.
+SolveResponse cached_solve(const Solver& solver, const SolveRequest& req) {
+  if (std::optional<SolveResponse> hit = solver.try_cached(req)) return *hit;
+  SolveResponse res = solver.solve(req);
+  solver.publish(req, res);
+  return res;
+}
+
 SolveRequest paper19_request() {
   SolveRequest req;
   req.graph = paper_example19();
@@ -93,7 +103,7 @@ void print_quality_gate() {
   cold_req.mode = SolveMode::kPortfolio;
   cold_req.portfolio.jobs = 1;  // deterministic roster, machine-independent
   const auto t0 = clock::now();
-  const SolveResponse cold = solver.solve(cold_req);
+  const SolveResponse cold = cached_solve(solver, cold_req);
   const auto t1 = clock::now();
   if (cold.status != SolveStatus::kOk || !cold.certified) {
     std::cerr << "COLD SOLVE FAILED: the gate needs a certified baseline"
@@ -105,11 +115,11 @@ void print_quality_gate() {
   SolveRequest hot_req = cold_req;
   hot_req.graph = relabel(cold_req.graph, rng);
   // One untimed warm-up hit, then the timed repeats.
-  const SolveResponse first_hit = solver.solve(hot_req);
+  const SolveResponse first_hit = cached_solve(solver, hot_req);
   constexpr int kRepeats = 32;
   const auto t2 = clock::now();
   SolveResponse hit;
-  for (int i = 0; i < kRepeats; ++i) hit = solver.solve(hot_req);
+  for (int i = 0; i < kRepeats; ++i) hit = cached_solve(solver, hot_req);
   const auto t3 = clock::now();
 
   const double cold_us =
@@ -132,7 +142,8 @@ void print_quality_gate() {
   if (hit.best_length != cold.best_length ||
       hit.startup_length != cold.startup_length ||
       hit.lower_bound != cold.lower_bound ||
-      hit.fingerprint != cold.fingerprint) {
+      hit.fingerprint != fingerprint_hex(canonicalize(cold_req.graph)
+                                             .fingerprint)) {
     std::cerr << "CACHE HIT DIVERGED FROM COLD SOLVE: best "
               << hit.best_length << " vs " << cold.best_length << std::endl;
     std::abort();
@@ -195,15 +206,12 @@ BENCHMARK(BM_CanonicalizeSymmetricFanOut)
     ->Unit(benchmark::kMicrosecond);
 
 /// The memoization baseline: every iteration pays the full pipeline
-/// (cache disabled so repeats stay cold).
+/// (solve() itself never consults the cache).
 void BM_SolveCold(benchmark::State& state) {
-  SolveCache::global().clear();
-  SolveCache::global().set_enabled(false);
   const Solver solver;
   const SolveRequest req = paper19_request();
   for (auto _ : state)
     benchmark::DoNotOptimize(solver.solve(req));
-  SolveCache::global().set_enabled(true);
 }
 BENCHMARK(BM_SolveCold)->Unit(benchmark::kMillisecond);
 
@@ -220,17 +228,17 @@ void BM_SolveCacheHit(benchmark::State& state) {
   cache.set_enabled(true);
   const Solver solver;
   const SolveRequest req = paper19_request();
-  const SolveResponse warm = solver.solve(req);  // the one real miss
+  const SolveResponse warm = cached_solve(solver, req);  // the one miss
   if (warm.status != SolveStatus::kOk) state.SkipWithError("cold solve failed");
   for (auto _ : state) {
-    const SolveResponse res = solver.solve(req);
-    if (!res.cache_hit) state.SkipWithError("expected a cache hit");
+    const std::optional<SolveResponse> res = solver.try_cached(req);
+    if (!res) state.SkipWithError("expected a cache hit");
     benchmark::DoNotOptimize(res);
   }
   cache.clear();
   constexpr int kProbe = 100;
   for (int i = 0; i < kProbe; ++i) {
-    const SolveResponse res = solver.solve(req);
+    const SolveResponse res = cached_solve(solver, req);
     if (res.status != SolveStatus::kOk)
       state.SkipWithError("probe solve failed");
   }
