@@ -30,10 +30,13 @@
 // implementation: the v1 free-function remap and rotation headers, the
 // remap backend selection and the result fields naming the backend are
 // gone.  The "v2 -> v3" section of docs/API.md lists every removed name
-// and its replacement.
+// and its replacement.  Version 4 makes Solver::solve() the cold path only
+// (the cache protocol is try_cached -> solve -> publish), certifies a
+// kSchedule run as a whole, and changes the lower_bound/gap rules; see the
+// "v3 -> v4" section of docs/API.md.
 #pragma once
 
-#define CCSCHED_API_VERSION 3
+#define CCSCHED_API_VERSION 4
 
 // Error types thrown by the toolkit layers (the Solver itself never
 // throws; it folds failures into SolveResponse::diagnostics).

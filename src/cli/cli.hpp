@@ -1,7 +1,11 @@
 // ccsched — the command-line driver, as a library.
 //
 // Everything the `ccsched` binary does is implemented here against plain
-// streams so the test suite can drive it in-process.  Subcommands:
+// streams so the test suite can drive it in-process.  `schedule` and
+// `stress` only parse arguments and render: each builds one SolveRequest
+// and makes one ccs::Solver::solve() call (engine/solver.hpp), the same
+// dispatch serve and the examples use; `stress` then hands the answer to
+// repair_schedule.  Subcommands:
 //
 //   ccsched info <graph>                     structural report + critical cycle
 //   ccsched bound <graph>                    iteration bound
@@ -48,6 +52,7 @@
 //       --emit-schedule / --emit-graph       print the persistable artifacts
 //       --quiet                              summary line only
 //       --certify                            independent CCS-S certification
+//                                            (relax/strict: the whole run)
 //       --trace FILE                         JSONL pipeline events (docs/OBSERVABILITY.md)
 //       --stats FILE                         metrics JSON ('-' = stdout) + stats section
 //                                            (also enables span histograms)
