@@ -115,7 +115,7 @@ inline std::vector<Topology> paper_architectures() {
 
 /// Runs cyclo-compaction and asserts validity (a bench must never report a
 /// broken schedule); returns the result.  When `metrics` is non-null the
-/// run's pipeline counters and stage timers accumulate into it.
+/// run's pipeline counters accumulate into it.
 inline CycloCompactionResult run_checked(const Csdfg& g, const Topology& topo,
                                          RemapPolicy policy,
                                          MetricsRegistry* metrics = nullptr) {
@@ -137,19 +137,16 @@ inline CycloCompactionResult run_checked(const Csdfg& g, const Topology& topo,
 
 /// Publishes a metrics registry as google-benchmark user counters so every
 /// `--benchmark_out=BENCH_*.json` run carries the pipeline's own accounting
-/// (AN evaluations, PSL rejections, stage times) next to the wall-clock
-/// numbers — the perf trajectory is self-describing.  Counter/timer totals
-/// span all iterations of the timing loop; divide by `state.iterations()`
-/// for per-run values.
+/// (AN evaluations, PSL rejections, pass counts) next to the wall-clock
+/// numbers — the perf trajectory is self-describing.  Counter totals span
+/// all iterations of the timing loop; divide by `state.iterations()` for
+/// per-run values.
 inline void export_metrics(::benchmark::State& state,
                            const MetricsRegistry& metrics) {
   for (const auto& [name, value] : metrics.counters())
     state.counters[name] = ::benchmark::Counter(static_cast<double>(value));
   for (const auto& [name, value] : metrics.gauges())
     state.counters[name] = ::benchmark::Counter(value);
-  for (const auto& [name, stat] : metrics.timers())
-    state.counters[name + ".ms"] =
-        ::benchmark::Counter(static_cast<double>(stat.total_ns) / 1e6);
 }
 
 /// Section header in the harness output.

@@ -85,7 +85,7 @@ void BM_RepairAfterFailStop(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome.success);
   }
   // One untimed metered run exports the ladder's own accounting
-  // (repair.attempts, repair.successes, time.repair) into BENCH_*.json.
+  // (repair.attempts, repair.successes) into BENCH_*.json.
   MetricsRegistry metrics;
   const RepairOutcome metered =
       repair_schedule(g, {base.retimed_graph, base.best, base.retiming}, topo,

@@ -1,9 +1,11 @@
 #include "cli/cli.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/bounds.hpp"
 #include "analysis/canon.hpp"
@@ -44,6 +46,15 @@ constexpr int kUsage = 2;
 struct UsageError {
   std::string message;
 };
+
+/// Reads all of `text` as one decimal integer that fits `out`: "3abc",
+/// "1.9", "+3" and, for an unsigned `out`, "-1" are refused.
+template <class Int>
+bool parse_whole(std::string_view text, Int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// Parsed command line: positional arguments plus --key[=value] options.
 class Args {
@@ -91,11 +102,10 @@ public:
   [[nodiscard]] int int_value(const std::string& name, int fallback) {
     const auto v = value(name);
     if (!v) return fallback;
-    try {
-      return std::stoi(*v);
-    } catch (const std::exception&) {
+    int out = 0;
+    if (!parse_whole(*v, out))
       throw UsageError{"--" + name + " expects an integer, got '" + *v + "'"};
-    }
+    return out;
   }
 
   /// Rejects any option that no handler consumed.
@@ -146,14 +156,21 @@ std::vector<int> parse_speeds(const std::string& csv) {
   std::istringstream ls(csv);
   std::string tok;
   while (std::getline(ls, tok, ',')) {
-    try {
-      speeds.push_back(std::stoi(tok));
-    } catch (const std::exception&) {
+    int speed = 0;
+    if (!parse_whole(tok, speed))
       throw UsageError{"--speeds expects a comma-separated integer list"};
-    }
+    speeds.push_back(speed);
   }
   if (speeds.empty()) throw UsageError{"--speeds list is empty"};
   return speeds;
+}
+
+/// True for the stop reasons the budget flags cause.  A portfolio attempt
+/// that stops itself at the lower bound reports "preempted", which no flag
+/// asked for.
+bool budget_stop(const std::string& stop_reason) {
+  return stop_reason == "max-passes" || stop_reason == "deadline" ||
+         stop_reason == "patience";
 }
 
 /// Shared budget flags (--budget-passes/--budget-ms/--patience); zero (the
@@ -275,11 +292,8 @@ SolveRequest read_solve_flags(Args& args, const Topology& topo,
   popt.jobs = args.int_value("jobs", 1);
   popt.attempts = args.int_value("attempts", 0);
   if (const auto seed = args.value("seed")) {
-    try {
-      popt.seed = std::stoull(*seed);
-    } catch (const std::exception&) {
+    if (!parse_whole(*seed, popt.seed))
       throw UsageError{"--seed expects a non-negative integer"};
-    }
     if (!portfolio) throw UsageError{"--seed needs --portfolio"};
   }
   if (!portfolio && (popt.jobs != 1 || popt.attempts != 0))
@@ -709,7 +723,7 @@ int cmd_schedule(Args& args, std::istream& in, std::ostream& out,
   if (request.certify)
     out << "  [" << (res.certified ? "certified" : "UNCERTIFIED") << "]";
   out << '\n';
-  if (!res.stop_reason.empty())
+  if (budget_stop(res.stop_reason))
     out << "budget: stopped by " << res.stop_reason << " after " << res.passes
         << " pass(es)\n";
   if (request.mode == SolveMode::kPortfolio) {
@@ -871,7 +885,7 @@ int cmd_stress(Args& args, std::istream& in, std::ostream& out,
         << base.winner_attempt << ")\n";
   out << "baseline: startup " << base.startup_length << " -> "
       << base.best_length << " on " << topo.name() << '\n';
-  if (!base.stop_reason.empty())
+  if (budget_stop(base.stop_reason))
     out << "budget:   stopped by " << base.stop_reason << '\n';
 
   out << "faults:\n";

@@ -116,7 +116,7 @@
 //       --threshold PCT                      regression threshold in percent
 //                                            (default 5)
 //       --gate LIST                          comma-separated gate tokens
-//                                            (default counters,timers,spans,
+//                                            (default counters,spans,
 //                                            benchmarks,profile; "all" gates
 //                                            every path; a dotted token like
 //                                            bound.gap gates every path that

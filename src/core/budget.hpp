@@ -49,6 +49,13 @@ public:
   }
 };
 
+/// The process's one SteadyBudgetClock: what a null clock pointer selects
+/// wherever a deadline is measured.
+[[nodiscard]] inline const BudgetClock& steady_budget_clock() {
+  static const SteadyBudgetClock clock;
+  return clock;
+}
+
 /// A hand-cranked clock for tests: time advances only when told to, so a
 /// deadline budget fires at an exactly reproducible pass.
 class ManualBudgetClock final : public BudgetClock {

@@ -11,7 +11,6 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
                                     const CycloCompactionOptions& options,
                                     const ObsContext& obs) {
   g.require_legal();
-  const ScopedTimer timer(obs.metrics, "time.compaction");
   const ObsSpan run_span = obs.span("compact");
 
   ScheduleTable startup =
@@ -36,9 +35,8 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
   // boundaries so a budgeted run is a deterministic prefix of the
   // unbudgeted one (given a deterministic clock).
   const RunBudget& budget = options.budget;
-  const SteadyBudgetClock fallback_clock;
   const BudgetClock* clock =
-      budget.clock != nullptr ? budget.clock : &fallback_clock;
+      budget.clock != nullptr ? budget.clock : &steady_budget_clock();
   const long long start_ms =
       budget.deadline_ms > 0 ? clock->now_ms() : 0;
   int stale_passes = 0;  // Consecutive passes without a new best.

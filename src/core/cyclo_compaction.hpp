@@ -90,10 +90,9 @@ struct CycloCompactionResult {
 ///
 /// `obs` (optional) streams the run: pass_start / rotation / remap_target /
 /// remap_decision / psl_pad / rollback / pass_end / budget_exhausted events
-/// plus the
-/// compaction.* counters and the time.compaction / time.startup /
-/// time.remap timers (docs/OBSERVABILITY.md).  The default context is
-/// disabled and costs nothing.
+/// plus the compaction.* counters and the compact / startup.list / remap
+/// spans (docs/OBSERVABILITY.md).  The default context is disabled and
+/// costs nothing.
 [[nodiscard]] CycloCompactionResult cyclo_compact(
     const Csdfg& g, const Topology& topo, const CommModel& comm,
     const CycloCompactionOptions& options = {}, const ObsContext& obs = {});

@@ -36,7 +36,6 @@ ScheduleTable start_up_schedule(const Csdfg& g, const Topology& topo,
                                 const StartUpOptions& options,
                                 const ObsContext& obs) {
   g.require_legal();
-  const ScopedTimer timer(obs.metrics, "time.startup");
   const ObsSpan list_span = obs.span("startup.list");
   CCS_EXPECTS(options.pe_speeds.empty() ||
               options.pe_speeds.size() == topo.size());

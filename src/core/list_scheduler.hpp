@@ -45,7 +45,7 @@ struct StartUpOptions {
 /// Runs the start-up scheduling algorithm of Section 3.1 on `g` for the
 /// machine described by `comm` (whose topology supplies the processor
 /// count).  Deterministic.  Throws GraphError if `g` is illegal.  `obs`
-/// (optional) records the time.startup timer, startup.* counters, and one
+/// (optional) records the startup.list span, startup.* counters, and one
 /// startup_done event.
 [[nodiscard]] ScheduleTable start_up_schedule(const Csdfg& g,
                                               const Topology& topo,

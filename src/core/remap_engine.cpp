@@ -389,7 +389,6 @@ std::optional<int> RemapEngine::remap(const std::vector<NodeId>& rotated,
                                       const ObsContext& obs) {
   CCS_EXPECTS(bound_);
   CCS_EXPECTS(previous_length >= 1);
-  const ScopedTimer timer(obs.metrics, "time.remap");
   const ObsSpan remap_span = obs.span("remap");
   prepare(rotated, selection);
 

@@ -186,7 +186,6 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
                                   const PortfolioOptions& opt,
                                   const ObsContext& obs) {
   g.require_legal();
-  const ScopedTimer timer(obs.metrics, "time.portfolio");
   const ObsSpan portfolio_span = obs.span("portfolio");
 
   const std::vector<AttemptConfig> roster = portfolio_attempts(g, opt);

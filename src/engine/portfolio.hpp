@@ -141,7 +141,7 @@ struct PortfolioResult {
 /// is illegal, and rethrows the first (by attempt index) exception any
 /// attempt raised.  `obs` receives merged metrics, attempt-tagged trace
 /// lines in attempt order, the portfolio.* counters/gauges, and the
-/// time.portfolio timer.
+/// portfolio span.
 [[nodiscard]] PortfolioResult portfolio_compact(
     const Csdfg& g, const Topology& topo, const CommModel& comm,
     const PortfolioOptions& opt = {}, const ObsContext& obs = {});

@@ -1,5 +1,6 @@
 #include "io/serve_codec.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -82,14 +83,14 @@ bool read_speeds(const TraceEvent& e, std::vector<int>& out,
   std::istringstream ls(body);
   std::string tok;
   while (std::getline(ls, tok, ',')) {
-    try {
-      const int s = std::stoi(tok);
-      if (s < 1 || s > 1'000'000) throw std::out_of_range{"speed"};
-      out.push_back(s);
-    } catch (const std::exception&) {
+    int s = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, s);
+    if (ec != std::errc() || ptr != end || s < 1 || s > 1'000'000) {
       error = "speeds entries must be integers >= 1";
       return false;
     }
+    out.push_back(s);
   }
   return true;
 }
@@ -108,7 +109,7 @@ ServeParse parse_serve_request(std::string_view line, std::size_t max_bytes) {
        << max_bytes << "-byte cap";
     return fail(os.str());
   }
-  const ParsedTrace scanned = parse_trace_jsonl(std::string(line));
+  const ParsedTrace scanned = parse_trace_jsonl(line);
   if (!scanned.issues.empty())
     return fail("request is not one flat JSON object: " +
                 scanned.issues.front().message);

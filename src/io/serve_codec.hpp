@@ -4,9 +4,9 @@
 // line, one flat JSON object per response line.  The request grammar is
 // deliberately the tracer's flat-object grammar (obs/trace_reader.hpp) —
 // string / number / boolean values plus number arrays, nothing nested —
-// so the service reuses the same lenient scanner the certifier already
-// trusts for hostile trace streams: a malformed line is an error *value*,
-// never an exception, and can therefore never take the serve loop down.
+// so the service reuses the trace reader the certifier already trusts for
+// hostile trace streams: a malformed line is an error *value*, never an
+// exception, and can therefore never take the serve loop down.
 //
 // Decoding is fault-containment layer one (the PR-4 hardened-parser
 // pattern): an oversized line, truncated JSON, embedded NULs, an unknown

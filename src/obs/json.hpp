@@ -1,16 +1,19 @@
-// ccsched — minimal JSON emission for the observability layer.
+// ccsched — minimal JSON writing and reading for the observability layer.
 //
 // The tracer and the metrics registry both serialize to JSON (JSON Lines for
-// events, one document for a metrics snapshot).  The library has no external
-// dependencies, so this header provides the few pieces both need: string
-// escaping and a tiny append-only object writer.  Output is deterministic
-// (insertion order) and locale-independent.
+// events, one document for a metrics snapshot), and `ccsched report`, the
+// trace auditor and the serve loop read JSON back.  The library has no
+// external dependencies, so this header provides the few pieces they need:
+// string escaping, a tiny append-only object writer, and one reader
+// (parse_json).  Output is deterministic (insertion order) and
+// locale-independent.
 #pragma once
 
 #include <cstddef>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ccs {
@@ -63,5 +66,32 @@ private:
 
 /// Renders a double as a valid JSON number (no locale, no trailing garbage).
 [[nodiscard]] std::string json_number(double v);
+
+/// One parsed JSON value.
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  /// The unescaped characters of a string, or the literal spelling of a
+  /// number, so 64-bit integers read back exactly.
+  std::string text;
+  std::vector<JsonValue> array;
+  /// Members in document order; a repeated key is kept twice.
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  /// First member named `key`, or nullptr.
+  [[nodiscard]] const JsonValue* find(std::string_view key) const;
+  /// A number's value as a double.
+  [[nodiscard]] double number() const;
+};
+
+/// Parses `text` as one JSON document.  Numbers must follow the JSON number
+/// grammar; a \uXXXX escape decodes to its low byte (the writer only emits
+/// \u00XX, for control bytes); raw control bytes inside strings are kept
+/// as they are.  Nesting deeper than 64 levels is refused, so hostile input
+/// cannot exhaust the stack.  Never throws: on malformed input it returns
+/// false and names the problem and its byte offset in `error`.
+[[nodiscard]] bool parse_json(std::string_view text, JsonValue& out,
+                              std::string& error);
 
 }  // namespace ccs

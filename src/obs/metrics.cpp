@@ -25,17 +25,6 @@ void MetricsRegistry::set(std::string_view name, double value) {
   }
 }
 
-void MetricsRegistry::record_duration(std::string_view name,
-                                      std::chrono::nanoseconds d) {
-  const auto it = timers_.find(name);
-  TimerStat& stat = it != timers_.end()
-                        ? it->second
-                        : timers_.emplace(std::string(name), TimerStat{})
-                              .first->second;
-  stat.count += 1;
-  stat.total_ns += d.count();
-}
-
 long long MetricsRegistry::counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it != counters_.end() ? it->second : 0;
@@ -44,12 +33,6 @@ long long MetricsRegistry::counter(std::string_view name) const {
 double MetricsRegistry::gauge(std::string_view name) const {
   const auto it = gauges_.find(name);
   return it != gauges_.end() ? it->second : 0.0;
-}
-
-MetricsRegistry::TimerStat MetricsRegistry::timer(
-    std::string_view name) const {
-  const auto it = timers_.find(name);
-  return it != timers_.end() ? it->second : TimerStat{};
 }
 
 void MetricsRegistry::set_span(std::string_view name,
@@ -71,23 +54,17 @@ MetricsRegistry::SpanSummary MetricsRegistry::span(
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, value] : other.counters_) add(name, value);
   for (const auto& [name, value] : other.gauges_) set(name, value);
-  for (const auto& [name, stat] : other.timers_) {
-    TimerStat& mine = timers_[name];
-    mine.count += stat.count;
-    mine.total_ns += stat.total_ns;
-  }
   for (const auto& [name, summary] : other.spans_) set_span(name, summary);
 }
 
 void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
-  timers_.clear();
   spans_.clear();
 }
 
 std::string MetricsRegistry::to_json() const {
-  std::ostringstream counters, gauges, timers;
+  std::ostringstream counters, gauges;
   counters << '{';
   bool first = true;
   for (const auto& [name, value] : counters_) {
@@ -106,20 +83,8 @@ std::string MetricsRegistry::to_json() const {
   }
   gauges << '}';
 
-  timers << '{';
-  first = true;
-  for (const auto& [name, stat] : timers_) {
-    timers << (first ? "" : ",") << '"' << json_escape(name)
-           << "\":{\"count\":" << stat.count << ",\"total_ms\":"
-           << json_number(static_cast<double>(stat.total_ns) / 1e6) << '}';
-    first = false;
-  }
-  timers << '}';
-
   JsonWriter w;
-  w.raw_field("counters", counters.str())
-      .raw_field("gauges", gauges.str())
-      .raw_field("timers", timers.str());
+  w.raw_field("counters", counters.str()).raw_field("gauges", gauges.str());
   if (!spans_.empty()) {
     std::ostringstream spans;
     spans << '{';
@@ -147,12 +112,6 @@ std::string MetricsRegistry::to_text() const {
     t.add_row({name, "counter", std::to_string(value)});
   for (const auto& [name, value] : gauges_)
     t.add_row({name, "gauge", json_number(value)});
-  for (const auto& [name, stat] : timers_) {
-    std::ostringstream cell;
-    cell << json_number(static_cast<double>(stat.total_ns) / 1e6) << " ms / "
-         << stat.count << " calls";
-    t.add_row({name, "timer", cell.str()});
-  }
   for (const auto& [name, s] : spans_) {
     std::ostringstream cell;
     cell << "self " << json_number(s.self_ms) << " ms / total "

@@ -1,21 +1,20 @@
 // ccsched — the metrics registry.
 //
-// A registry of named counters, gauges, and monotonic-clock timers that the
-// scheduling pipeline populates when a caller asks for one (ObsContext).
-// Counters accumulate hot-path tallies (AN evaluations, PSL rejections,
-// slots scanned, validate calls); timers bracket whole stages (startup,
-// compaction, remap attempts, simulation) via RAII.  The registry exports
+// A registry of named counters and gauges that the scheduling pipeline
+// populates when a caller asks for one (ObsContext), plus the per-span
+// summaries the profiler exports into it after a run.  Counters accumulate
+// hot-path tallies (AN evaluations, PSL rejections, slots scanned, validate
+// calls); stage wall times are spans (obs/span.hpp).  The registry exports
 // itself as one JSON document (machine consumption: CLI --stats, the bench
 // BENCH_*.json outputs) or as an aligned text table (util/text_table, for
 // the CLI's `stats` section).
 //
 // The registry is a plain value type: no globals, no threads, deterministic
 // iteration order (sorted by name).  Metric names are dotted lowercase
-// ("an.evaluations", "time.startup"); the full catalogue lives in
+// ("an.evaluations", "schedule.best_length"); the full catalogue lives in
 // docs/OBSERVABILITY.md.
 #pragma once
 
-#include <chrono>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,12 +23,6 @@ namespace ccs {
 
 class MetricsRegistry {
 public:
-  /// Accumulated RAII-timer state for one name.
-  struct TimerStat {
-    long long count = 0;
-    long long total_ns = 0;
-  };
-
   /// Exported summary of one profiler span name (obs/span.hpp): counts and
   /// millisecond totals plus the approximate histogram quantiles.  Written
   /// by export_span_stats (obs/profile.hpp) after the run.
@@ -44,7 +37,6 @@ public:
 
   using CounterMap = std::map<std::string, long long, std::less<>>;
   using GaugeMap = std::map<std::string, double, std::less<>>;
-  using TimerMap = std::map<std::string, TimerStat, std::less<>>;
   using SpanMap = std::map<std::string, SpanSummary, std::less<>>;
 
   /// Adds `delta` to counter `name` (created at 0 on first use).
@@ -53,17 +45,11 @@ public:
   /// Sets gauge `name` to `value` (last write wins).
   void set(std::string_view name, double value);
 
-  /// Folds one measured duration into timer `name`.
-  void record_duration(std::string_view name, std::chrono::nanoseconds d);
-
   /// Current counter value; 0 when never touched.
   [[nodiscard]] long long counter(std::string_view name) const;
 
   /// Current gauge value; 0.0 when never set.
   [[nodiscard]] double gauge(std::string_view name) const;
-
-  /// Accumulated timer state; zeroes when never used.
-  [[nodiscard]] TimerStat timer(std::string_view name) const;
 
   /// Sets the exported summary for span `name` (last write wins — span
   /// summaries come from one profiler snapshot, already aggregated; merge
@@ -77,16 +63,14 @@ public:
     return counters_;
   }
   [[nodiscard]] const GaugeMap& gauges() const noexcept { return gauges_; }
-  [[nodiscard]] const TimerMap& timers() const noexcept { return timers_; }
   [[nodiscard]] const SpanMap& spans() const noexcept { return spans_; }
 
   [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && gauges_.empty() && timers_.empty() &&
-           spans_.empty();
+    return counters_.empty() && gauges_.empty() && spans_.empty();
   }
 
-  /// Adds every counter/timer of `other` into this registry; gauges and
-  /// span summaries are overwritten.  Aggregates per-run registries into
+  /// Adds every counter of `other` into this registry; gauges and span
+  /// summaries are overwritten.  Aggregates per-run registries into
   /// one report.
   void merge(const MetricsRegistry& other);
 
@@ -94,11 +78,10 @@ public:
 
   /// One JSON document:
   ///   {"counters":{...},"gauges":{...},
-  ///    "timers":{"name":{"count":N,"total_ms":X}},
   ///    "spans":{"name":{"count":N,"total_ms":X,"self_ms":X,
   ///                     "p50_ms":X,"p95_ms":X,"max_ms":X}}}
   /// The "spans" member appears only when at least one summary was set, so
-  /// profile-free stats documents keep their historical shape.
+  /// a profile-free stats document holds counters and gauges only.
   [[nodiscard]] std::string to_json() const;
 
   /// Aligned text table (metric | type | value), one row per metric.
@@ -107,35 +90,7 @@ public:
 private:
   CounterMap counters_;
   GaugeMap gauges_;
-  TimerMap timers_;
   SpanMap spans_;
-};
-
-/// Measures a scope on the monotonic clock and folds the elapsed time into a
-/// registry timer on destruction.  A null registry makes it a no-op, so call
-/// sites need no branch:
-///
-///   ScopedTimer t(obs.metrics, "time.startup");
-class ScopedTimer {
-public:
-  ScopedTimer(MetricsRegistry* registry, std::string_view name)
-      : registry_(registry),
-        name_(registry ? std::string(name) : std::string()),
-        start_(registry ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point()) {}
-  ~ScopedTimer() {
-    if (registry_)
-      registry_->record_duration(name_,
-                                 std::chrono::steady_clock::now() - start_);
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-  MetricsRegistry* registry_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace ccs

@@ -40,11 +40,6 @@ struct ObsContext {
     if (metrics != nullptr) metrics->add(name, delta);
   }
 
-  /// RAII stage timer; no-op without a registry.
-  [[nodiscard]] ScopedTimer time(std::string_view name) const {
-    return {metrics, name};
-  }
-
   /// RAII profiling span; fully inert without a profiler.  Span begin/end
   /// trace events ride along only when the profiler *and* the tracer are
   /// active, so profile-free traces stay byte-identical to before.

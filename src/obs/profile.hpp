@@ -9,7 +9,7 @@
 //  * export_span_stats folds the per-name aggregates (count, total, self
 //    time, approximate p50/p95, max) into a MetricsRegistry's "spans"
 //    section, so `--stats` documents and text tables carry the hot-path
-//    histogram summary next to the counters and stage timers.
+//    histogram summary next to the counters and gauges.
 //
 // Both are snapshot-based: call them after the instrumented run finishes
 // (and after per-worker profilers were absorbed).  docs/OBSERVABILITY.md
@@ -29,7 +29,7 @@ namespace ccs {
 [[nodiscard]] std::string chrome_trace_json(const SpanProfiler& profiler);
 
 /// Writes one SpanSummary per span name into `registry` (overwriting any
-/// previous summary of the same name).  Milliseconds, like timer exports.
+/// previous summary of the same name), in milliseconds.
 void export_span_stats(const SpanProfiler& profiler,
                        MetricsRegistry& registry);
 

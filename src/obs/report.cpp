@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -15,219 +14,13 @@ namespace ccs {
 
 namespace {
 
-// ---------------------------------------------------------------- parser
-//
-// A tiny recursive-descent JSON reader, just strict enough for the
-// documents this layer itself writes.  No exceptions: errors set a message
-// and unwind via the `ok` flag.  Depth-limited so hostile input cannot
-// blow the stack.
-
-constexpr int kMaxDepth = 64;
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  double number = 0.0;
-  bool boolean = false;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class JsonReader {
-public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    const bool ok = value(out, 0);
-    if (!ok) {
-      error = error_.empty() ? "malformed JSON" : error_;
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = at("trailing data after the JSON document");
-      return false;
-    }
-    return true;
-  }
-
-private:
-  std::string at(const std::string& what) {
-    std::ostringstream os;
-    os << what << " (byte " << pos_ << ")";
-    return os.str();
-  }
-
-  bool fail(const std::string& what) {
-    if (error_.empty()) error_ = at(what);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.compare(pos_, word.size(), word) != 0)
-      return fail("unrecognized token");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string_token(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"')
-      return fail("expected a string");
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          // Code points beyond ASCII are not needed for metric names;
-          // decode the escape length and substitute.
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          pos_ += 4;
-          out += '?';
-          break;
-        default: return fail("invalid escape sequence");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool value(JsonValue& out, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of document");
-    const char c = text_[pos_];
-    if (c == '{') return object(out, depth);
-    if (c == '[') return array(out, depth);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string_token(out.string);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') return literal("null");
-    return number(out);
-  }
-
-  bool number(JsonValue& out) {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return fail("expected a value");
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = v;
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  bool object(JsonValue& out, int depth) {
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string_token(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':')
-        return fail("expected ':' after object key");
-      ++pos_;
-      JsonValue member;
-      if (!value(member, depth + 1)) return false;
-      out.object.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool array(JsonValue& out, int depth) {
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!value(element, depth + 1)) return false;
-      out.array.push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
 // --------------------------------------------------------------- flatten
 
 void flatten(const JsonValue& v, const std::string& prefix,
              FlatMetrics& out) {
   switch (v.kind) {
     case JsonValue::Kind::kNumber:
-      if (!prefix.empty()) out.values[prefix] = v.number;
+      if (!prefix.empty()) out.values[prefix] = v.number();
       return;
     case JsonValue::Kind::kBool:
       if (!prefix.empty()) out.values[prefix] = v.boolean ? 1.0 : 0.0;
@@ -245,8 +38,8 @@ void flatten(const JsonValue& v, const std::string& prefix,
         if (element.kind == JsonValue::Kind::kObject) {
           const JsonValue* name = element.find("name");
           if (name != nullptr && name->kind == JsonValue::Kind::kString &&
-              !name->string.empty())
-            segment = name->string;
+              !name->text.empty())
+            segment = name->text;
         }
         flatten(element, prefix.empty() ? segment : prefix + "." + segment,
                 out);
@@ -267,19 +60,19 @@ void flatten_trace_events(const JsonValue& events, FlatMetrics& out) {
   for (const JsonValue& e : events.array) {
     if (e.kind != JsonValue::Kind::kObject) continue;
     const JsonValue* ph = e.find("ph");
-    if (ph == nullptr || ph->string != "X") continue;  // skip metadata rows
+    if (ph == nullptr || ph->text != "X") continue;  // skip metadata rows
     const JsonValue* name = e.find("name");
     if (name == nullptr || name->kind != JsonValue::Kind::kString) continue;
-    Agg& agg = by_name[name->string];
+    Agg& agg = by_name[name->text];
     agg.count += 1;
     const JsonValue* dur = e.find("dur");
     if (dur != nullptr && dur->kind == JsonValue::Kind::kNumber)
-      agg.total_us += dur->number;
+      agg.total_us += dur->number();
     const JsonValue* args = e.find("args");
     if (args != nullptr && args->kind == JsonValue::Kind::kObject) {
       const JsonValue* self = args->find("self_us");
       if (self != nullptr && self->kind == JsonValue::Kind::kNumber)
-        agg.self_us += self->number;
+        agg.self_us += self->number();
     }
   }
   for (const auto& [name, agg] : by_name) {
@@ -289,8 +82,7 @@ void flatten_trace_events(const JsonValue& events, FlatMetrics& out) {
   }
 }
 
-/// "timers.time.remap.total_ms" -> category "timers", rest
-/// "time.remap.total_ms".
+/// "spans.remap.self_ms" -> category "spans".
 std::string_view category_of(std::string_view path) {
   const std::size_t dot = path.find('.');
   return dot == std::string_view::npos ? path : path.substr(0, dot);
@@ -318,8 +110,7 @@ std::string format_pct(double pct) {
 bool flatten_metrics_json(const std::string& text, FlatMetrics& out,
                           std::string& error) {
   JsonValue root;
-  JsonReader reader(text);
-  if (!reader.parse(root, error)) return false;
+  if (!parse_json(text, root, error)) return false;
   if (root.kind != JsonValue::Kind::kObject) {
     error = "expected a top-level JSON object";
     return false;
@@ -364,26 +155,9 @@ std::string render_hot_path_report(const FlatMetrics& m) {
       rows.push_back(std::move(row));
     }
   }
-  if (rows.empty()) {
-    // No span attribution: fall back to the coarse stage timers.
-    const std::string prefix = "timers.";
-    const std::string suffix = ".total_ms";
-    for (const auto& [key, value] : m.values) {
-      if (key.rfind(prefix, 0) != 0 || key.size() <= suffix.size() ||
-          key.compare(key.size() - suffix.size(), suffix.size(), suffix) != 0)
-        continue;
-      const std::string base = key.substr(0, key.size() - suffix.size());
-      Row row;
-      row.name = base.substr(prefix.size());
-      row.self_ms = value;  // timers have no nesting: self == total
-      row.total_ms = value;
-      row.count = lookup(base + ".count", 0.0);
-      rows.push_back(std::move(row));
-    }
-  }
   if (rows.empty())
-    return "no span or timer data in this document; record one with "
-           "--profile or --stats\n";
+    return "no span data in this document; record one with --profile or "
+           "--stats\n";
 
   std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     return a.self_ms > b.self_ms;

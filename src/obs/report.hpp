@@ -9,15 +9,16 @@
 //
 // Every document is first *flattened* into dotted numeric paths:
 //   {"counters":{"an.evaluations":9}}    -> counters.an.evaluations = 9
-//   {"timers":{"t":{"total_ms":1.5}}}    -> timers.t.total_ms = 1.5
+//   {"spans":{"remap":{"self_ms":1.5}}}  -> spans.remap.self_ms = 1.5
 //   {"benchmarks":[{"name":"BM_X", ...}]} -> benchmarks.BM_X.real_time = ...
 //   {"traceEvents":[...]}                 -> profile.<span>.self_ms = ...
 // (arrays of named objects key by their "name"; trace events aggregate per
 // span name).  The diff then works on the union of paths, so stats files
 // and bench files gate through the same machinery.
 //
-// The parser never throws on malformed input: it reports one error string
-// and returns false, which the CLI maps to an operational failure.
+// Documents are read with parse_json (obs/json.hpp), which never throws on
+// malformed input: it reports one error string and returns false, which the
+// CLI maps to an operational failure.
 #pragma once
 
 #include <map>
@@ -37,9 +38,8 @@ struct FlatMetrics {
 [[nodiscard]] bool flatten_metrics_json(const std::string& text,
                                         FlatMetrics& out, std::string& error);
 
-/// Self-time-sorted hot-path table.  Prefers profiler data (profile.* /
-/// spans.* paths), falls back to stage timers, and says so when the
-/// document carries no time attribution at all.
+/// Self-time-sorted hot-path table of the profiler data (profile.* or
+/// spans.* paths); says so when the document carries none.
 [[nodiscard]] std::string render_hot_path_report(const FlatMetrics& m);
 
 /// One metric's before/after comparison.
@@ -62,7 +62,7 @@ struct DiffOptions {
   /// benchmarks.*.bound.gap.* wherever it sits).  Times are
   /// machine-dependent, so CI diffs of deterministic runs typically gate
   /// "counters" only.
-  std::string gate = "counters,timers,spans,benchmarks,profile";
+  std::string gate = "counters,spans,benchmarks,profile";
 };
 
 struct DiffResult {

@@ -4,7 +4,8 @@
 // JSON Lines and never looks back.  The certifier, however, must *audit*
 // a recorded stream — check sequence numbers, re-derive pass summaries,
 // and diff a replayed run against the file — so this header provides the
-// inverse: a lenient parser for the flat JSON objects the tracer writes.
+// inverse: each line is read with parse_json (obs/json.hpp) and held to
+// the flat grammar the tracer writes.
 //
 // Scope is deliberately narrow.  Trace lines are flat objects whose values
 // are strings, numbers, booleans, or arrays of numbers (the `rotated`
@@ -63,7 +64,7 @@ struct ParsedTrace {
 /// Parses a JSONL trace stream.  Blank lines are skipped; each remaining
 /// line must be one flat JSON object.  Never throws — malformed lines
 /// land in `issues` and the scan continues.
-[[nodiscard]] ParsedTrace parse_trace_jsonl(const std::string& text);
+[[nodiscard]] ParsedTrace parse_trace_jsonl(std::string_view text);
 
 /// Canonical one-line rendering of an event — "key=value;key=value;..."
 /// in stream order, with string values escaped.  Two events compare equal

@@ -2,19 +2,10 @@
 
 namespace ccs {
 
-namespace {
-
-const BudgetClock& steady_clock_instance() {
-  static const SteadyBudgetClock clock;
-  return clock;
-}
-
-}  // namespace
-
 RequestDeadline::RequestDeadline(long long deadline_ms,
                                  const BudgetClock* clock)
     : deadline_ms_(deadline_ms),
-      clock_(clock != nullptr ? clock : &steady_clock_instance()) {
+      clock_(clock != nullptr ? clock : &steady_budget_clock()) {
   admitted_ms_ = clock_->now_ms();
 }
 

@@ -96,7 +96,6 @@ RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
                               const RepairOptions& options,
                               const ObsContext& obs) {
   g.require_legal();
-  const ScopedTimer timer(obs.metrics, "time.repair");
   const ObsSpan repair_span = obs.span("repair");
 
   RepairOutcome out;

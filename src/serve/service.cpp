@@ -39,11 +39,6 @@ namespace {
 
 std::atomic<bool> g_serve_stop{false};
 
-const BudgetClock& serve_steady_clock() {
-  static const SteadyBudgetClock clock;
-  return clock;
-}
-
 /// Drain preemption: armed when the drain allowance is spent, observed by
 /// every in-flight RunBudget through RequestDeadline::budget().
 class DrainToken final : public BudgetStopToken {
@@ -489,7 +484,7 @@ ServeSummary run_serve(std::istream& in, std::ostream& out,
                        std::ostream& err, const ServeOptions& opts,
                        const ObsContext& obs) {
   const BudgetClock& clock =
-      opts.clock != nullptr ? *opts.clock : serve_steady_clock();
+      opts.clock != nullptr ? *opts.clock : steady_budget_clock();
   Service s(out, opts, clock, obs);
   ServeSummary sum;
 

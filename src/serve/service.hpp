@@ -52,8 +52,8 @@ struct ServeOptions {
   int jobs = 1;
   /// Bounded admission queue depth; a full queue sheds (>= 1).
   std::size_t queue_depth = 16;
-  /// Drain allowance after admission stops, in ms on `clock`.  Once spent,
-  /// in-flight solves are preempted and queued requests refused.
+  /// Drain allowance after admission stops, in ms of real time.  Once
+  /// spent, in-flight solves are preempted and queued requests refused.
   long long drain_ms = 2000;
   /// Request-line byte cap; longer lines are refused unparsed.
   std::size_t max_line_bytes = 1 << 20;
@@ -66,7 +66,8 @@ struct ServeOptions {
   long long full_ms = 200;
   long long compact_ms = 50;
   long long list_ms = 5;
-  /// Injectable clock for deadlines and the drain timer; null = steady.
+  /// Injectable clock for request deadlines; null = steady.  The drain
+  /// allowance is always measured on the real clock.
   const BudgetClock* clock = nullptr;
 };
 

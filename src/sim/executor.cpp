@@ -92,7 +92,7 @@ ExecutionStats run(const Csdfg& g, const ScheduleTable& table,
   CCS_EXPECTS(table.complete());
   CCS_EXPECTS(options.iterations >= 1);
   CCS_EXPECTS(options.warmup >= 0 && options.warmup < options.iterations);
-  const ScopedTimer timer(obs.metrics, "time.simulate");
+  const ObsSpan sim_span = obs.span("simulate");
 
   const int K = options.iterations;
   const std::size_t n = g.node_count();

@@ -122,8 +122,8 @@ struct ExecutionStats {
 /// instances, dead links drop messages (starving the consumers), and jitter
 /// stretches execution times — each reported through the fault counters and
 /// one `fault` trace event per activation.
-/// `obs` (optional) records the time.simulate timer, sim.* counters, and
-/// one sim_run event.
+/// `obs` (optional) records the simulate span, sim.* counters, and one
+/// sim_run event.
 [[nodiscard]] ExecutionStats execute_static(const Csdfg& g,
                                             const ScheduleTable& table,
                                             const Topology& topo,

@@ -264,7 +264,6 @@ std::optional<ScheduleTable> remap_rotated(
     RemapPolicy policy, RemapSelection selection, const ObsContext& obs,
     RemapStats* tally) {
   CCS_EXPECTS(previous_length >= 1);
-  const ScopedTimer timer(obs.metrics, "time.remap");
   const ObsSpan remap_span = obs.span("remap");
 
   const int first_target = std::max(1, previous_length - 1);

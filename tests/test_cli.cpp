@@ -255,6 +255,15 @@ TEST(CliExitCodes, UsageErrorsAreTwo) {
                 kDemo).code, 2);                               // unknown flag
   EXPECT_EQ(cli({"schedule", "-", "--arch", "mesh 2 2",
                  "--budget-passes", "-1"}, kDemo).code, 2);     // bad value
+  // Numbers are whole integers or usage errors, never a parsed prefix.
+  EXPECT_EQ(cli({"schedule", "-", "--arch", "mesh 2 2", "--passes", "3abc"},
+                kDemo).code, 2);
+  EXPECT_EQ(cli({"schedule", "-", "--arch", "mesh 2 2", "--portfolio",
+                 "--jobs", "1.9"}, kDemo).code, 2);
+  EXPECT_EQ(cli({"schedule", "-", "--arch", "mesh 2 2", "--portfolio",
+                 "--seed", "-1"}, kDemo).code, 2);
+  EXPECT_EQ(cli({"schedule", "-", "--arch", "mesh 2 2", "--speeds",
+                 "1.9,2.5,1,1"}, kDemo).code, 2);
 }
 
 // ------------------------------------------------------------------ budgets

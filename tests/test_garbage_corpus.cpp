@@ -421,6 +421,17 @@ TEST(GarbageCorpus, HostileServeRequestLinesGetStructuredErrors) {
       "\"deadline_ms\":99999999999999999}");
   // Unknown op.
   lines.push_back("{\"op\":\"destroy\"}");
+  // Well-formed solve requests but for one field the reader refuses: a
+  // nested object, null, a number JSON does not allow, an array of
+  // strings, fractional speeds, and a seed one past 2^62.
+  for (const char* field :
+       {"\"opts\":{\"passes\":3}", "\"passes\":null", "\"passes\":+5",
+        "\"speeds\":[\"a\"]", "\"speeds\":[1.9,2.5]",
+        "\"seed\":4611686018427387905"})
+    lines.push_back(
+        "{\"op\":\"solve\",\"graph\":\"graph g\\nnode a 1\","
+        "\"arch\":\"mesh 2 1\"," +
+        std::string(field) + "}");
   // Deterministic binary garbage (same LCG as the parser fuzz above).
   {
     std::uint32_t state = 0x5E55EEDu;
@@ -515,6 +526,13 @@ TEST(GarbageCorpus, ServeCodecSurvivesHostileLines) {
       "\"arch\":\"mesh 2 1\"}",
       1u << 20);
   EXPECT_TRUE(good.ok);
+  // Integers read back exactly: a seed of 2^62 is the largest accepted.
+  const ServeParse seeded = parse_serve_request(
+      "{\"op\":\"solve\",\"graph\":\"graph g\\nnode a 1\","
+      "\"arch\":\"mesh 2 1\",\"seed\":4611686018427387904}",
+      1u << 20);
+  ASSERT_TRUE(seeded.ok) << seeded.message;
+  EXPECT_EQ(seeded.request.seed, 1ULL << 62);
 }
 
 }  // namespace

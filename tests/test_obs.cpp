@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -186,58 +185,54 @@ TEST(Tracer, StreamSinkWritesOneLinePerEvent) {
 
 // ------------------------------------------------------- MetricsRegistry
 
-TEST(Metrics, CountersGaugesAndTimersAccumulate) {
+TEST(Metrics, CountersAndGaugesAccumulate) {
   MetricsRegistry m;
   EXPECT_TRUE(m.empty());
   m.add("an.evaluations");
   m.add("an.evaluations", 4);
   m.set("schedule.best_length", 5.0);
   m.set("schedule.best_length", 4.0);  // gauges overwrite
-  m.record_duration("time.remap", std::chrono::nanoseconds(1'500'000));
-  m.record_duration("time.remap", std::chrono::nanoseconds(500'000));
   EXPECT_FALSE(m.empty());
   EXPECT_EQ(m.counter("an.evaluations"), 5);
   EXPECT_EQ(m.gauge("schedule.best_length"), 4.0);
-  EXPECT_EQ(m.timer("time.remap").count, 2);
-  EXPECT_EQ(m.timer("time.remap").total_ns, 2'000'000);
   EXPECT_EQ(m.counter("never.touched"), 0);
 }
 
-TEST(Metrics, MergeAddsCountersAndTimersOverwritesGauges) {
+TEST(Metrics, MergeAddsCountersOverwritesGaugesAndSpans) {
   MetricsRegistry a, b;
   a.add("c", 1);
   b.add("c", 2);
   a.set("g", 1.0);
   b.set("g", 9.0);
-  b.record_duration("t", std::chrono::nanoseconds(100));
+  a.set_span("s", {1, 1.0, 1.0, 1.0, 1.0, 1.0});
+  b.set_span("s", {4, 2.0, 2.0, 2.0, 2.0, 2.0});
   a.merge(b);
   EXPECT_EQ(a.counter("c"), 3);
   EXPECT_EQ(a.gauge("g"), 9.0);
-  EXPECT_EQ(a.timer("t").count, 1);
+  EXPECT_EQ(a.span("s").count, 4);
+  EXPECT_EQ(a.span("s").total_ms, 2.0);
 }
 
 TEST(Metrics, JsonAndTextExports) {
   MetricsRegistry m;
   m.add("remap.placements", 7);
   m.set("sim.steady_ii", 2.5);
-  m.record_duration("time.compaction", std::chrono::nanoseconds(3'000'000));
+  const std::string bare = m.to_json();
+  EXPECT_EQ(bare, "{\"counters\":{\"remap.placements\":7},"
+                  "\"gauges\":{\"sim.steady_ii\":2.5}}");
+  m.set_span("compact", {1, 3.0, 1.0, 3.0, 3.0, 3.0});
   const std::string json = m.to_json();
   EXPECT_TRUE(looks_like_json_object(json)) << json;
   EXPECT_NE(json.find("\"remap.placements\":7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"sim.steady_ii\":2.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"time.compaction\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"spans\":{\"compact\":{\"count\":1,"),
+            std::string::npos)
+      << json;
   const std::string text = m.to_text();
   EXPECT_NE(text.find("remap.placements"), std::string::npos) << text;
   EXPECT_NE(text.find("counter"), std::string::npos) << text;
   EXPECT_NE(text.find("gauge"), std::string::npos) << text;
-  EXPECT_NE(text.find("timer"), std::string::npos) << text;
-}
-
-TEST(Metrics, ScopedTimerIsNoOpOnNull) {
-  { ScopedTimer t(nullptr, "x"); }  // must not crash
-  MetricsRegistry m;
-  { ScopedTimer t(&m, "x"); }
-  EXPECT_EQ(m.timer("x").count, 1);
+  EXPECT_NE(text.find("span"), std::string::npos) << text;
 }
 
 // ------------------------------------------------------------ ObsContext
@@ -246,7 +241,7 @@ TEST(ObsContext, DefaultContextIsInert) {
   const ObsContext obs;
   EXPECT_FALSE(obs.tracing());
   obs.count("anything");            // no-op, must not crash
-  { auto t = obs.time("nothing"); }  // no-op timer
+  { auto s = obs.span("nothing"); }  // no-op span
   obs.emit(PassStartEvent{1, 1});
 }
 
@@ -259,7 +254,8 @@ TEST(ObsPipeline, CycloCompactEmitsEventsAndCounters) {
   VectorSink sink;
   Tracer tracer(&sink);
   MetricsRegistry metrics;
-  const ObsContext obs{&tracer, &metrics};
+  SpanProfiler profiler;
+  const ObsContext obs{&tracer, &metrics, &profiler};
 
   CycloCompactionOptions opt;
   opt.policy = RemapPolicy::kWithoutRelaxation;
@@ -294,7 +290,10 @@ TEST(ObsPipeline, CycloCompactEmitsEventsAndCounters) {
   EXPECT_GT(metrics.counter("an.evaluations"), 0);
   EXPECT_GT(metrics.counter("remap.slots_scanned"), 0);
   EXPECT_GT(metrics.counter("compaction.passes"), 0);
-  EXPECT_GT(metrics.timer("time.compaction").count, 0);
+  // The profiler timed the whole run as one compact span.
+  const auto spans = profiler.stats();
+  ASSERT_EQ(spans.count("compact"), 1u);
+  EXPECT_EQ(spans.at("compact").durations.count(), 1u);
 }
 
 TEST(ObsPipeline, InstrumentedRunMatchesPlainRun) {
@@ -422,7 +421,8 @@ TEST(ObsCli, SimulateEmitsSimRunEvent) {
   std::istringstream in2;
   std::ostringstream out2, err2;
   const int code2 = run_cli({"simulate", graph_path, sched_path, "--arch",
-                             "mesh 2 2", "--trace", trace_path},
+                             "mesh 2 2", "--trace", trace_path, "--stats",
+                             "-"},
                             in2, out2, err2);
   ASSERT_EQ(code2, 0) << err2.str();
   std::ifstream trace(trace_path);
@@ -433,6 +433,20 @@ TEST(ObsCli, SimulateEmitsSimRunEvent) {
     if (string_field(line, "kind") == "sim_run") saw_sim_run = true;
   }
   EXPECT_TRUE(saw_sim_run);
+
+  // The stats document times the run as a simulate span.
+  const auto doc = out2.str().find("{\"counters\"");
+  ASSERT_NE(doc, std::string::npos) << out2.str();
+  JsonValue stats;
+  std::string error;
+  ASSERT_TRUE(parse_json(out2.str().substr(doc), stats, error)) << error;
+  const JsonValue* spans = stats.find("spans");
+  ASSERT_NE(spans, nullptr) << out2.str();
+  const JsonValue* simulate = spans->find("simulate");
+  ASSERT_NE(simulate, nullptr) << out2.str();
+  EXPECT_EQ(simulate->find("count")->text, "1");
+  // Spans are the only stage timer: no "timers" member remains.
+  EXPECT_EQ(stats.find("timers"), nullptr) << out2.str();
 }
 
 // ------------------------------------------------- trace reader + replay
@@ -445,10 +459,12 @@ TEST(TraceReader, RoundTripsTracerOutput) {
   tracer.emit(RemapDecisionEvent{3, true, 1, 4, 2, 9, 8, 3, "placed"});
   std::string text;
   for (const std::string& line : sink.lines()) text += line + "\n";
+  // A control byte travels as \u0001 and comes back as the same byte.
+  text += "{\"seq\":3,\"kind\":\"note\",\"text\":\"a\\u0001b\"}\n";
 
   const ParsedTrace parsed = parse_trace_jsonl(text);
   EXPECT_TRUE(parsed.issues.empty());
-  ASSERT_EQ(parsed.events.size(), 3u);
+  ASSERT_EQ(parsed.events.size(), 4u);
   long long seq = -1;
   EXPECT_TRUE(parsed.events[1].number("seq", seq));
   EXPECT_EQ(seq, 1);
@@ -461,6 +477,11 @@ TEST(TraceReader, RoundTripsTracerOutput) {
   EXPECT_EQ(rotated->text, "[2,5]");
   EXPECT_EQ(canonical_trace_event(parsed.events[0]),
             "seq=0;kind=pass_start;pass=1;length=7");
+  std::string note;
+  EXPECT_TRUE(parsed.events[3].string("text", note));
+  EXPECT_EQ(note, "a\x01" "b");
+  EXPECT_EQ(canonical_trace_event(parsed.events[3]),
+            "seq=3;kind=note;text=a\\u0001b");
 }
 
 TEST(TraceReader, ReportsMalformedLinesWithTheirNumbers) {
@@ -468,11 +489,19 @@ TEST(TraceReader, ReportsMalformedLinesWithTheirNumbers) {
       "{\"seq\":0,\"kind\":\"pass_start\"}\n"
       "\n"
       "{\"seq\":1,\"kind\":\"pass_end\"\n"
-      "[1,2,3]\n");
+      "[1,2,3]\n"
+      // Valid JSON outside the flat trace grammar, and a number JSON
+      // does not allow.
+      "{\"seq\":2,\"at\":{\"pass\":1}}\n"
+      "{\"seq\":3,\"pass\":null}\n"
+      "{\"seq\":4,\"pass\":+5}\n"
+      "{\"seq\":5,\"rotated\":[\"a\"]}\n");
   EXPECT_EQ(parsed.events.size(), 1u);
-  ASSERT_EQ(parsed.issues.size(), 2u);
-  EXPECT_EQ(parsed.issues[0].line, 3u);
-  EXPECT_EQ(parsed.issues[1].line, 4u);
+  ASSERT_EQ(parsed.issues.size(), 6u);
+  for (std::size_t i = 0; i < parsed.issues.size(); ++i) {
+    EXPECT_EQ(parsed.issues[i].line, i + 3) << parsed.issues[i].message;
+    EXPECT_FALSE(parsed.issues[i].message.empty());
+  }
 }
 
 /// A recorded scheduling trace of the paper graph, produced in-process.
@@ -924,10 +953,10 @@ TEST(ObsReportCli, DiffExitCodesGateRegressions) {
             0)
       << out3.str();
 
-  // Gating only timers ignores the counter regression.
+  // Gating only spans ignores the counter regression.
   std::istringstream in4;
   std::ostringstream out4, err4;
-  EXPECT_EQ(run_cli({"report", "--diff", before, after, "--gate", "timers"},
+  EXPECT_EQ(run_cli({"report", "--diff", before, after, "--gate", "spans"},
                     in4, out4, err4),
             0)
       << out4.str();
