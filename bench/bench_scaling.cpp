@@ -6,6 +6,8 @@
 // paper-sized inputs and stays polynomial as |V| and P scale.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "bench_common.hpp"
 #include "core/critical_cycle.hpp"
 #include "core/iteration_bound.hpp"
@@ -56,6 +58,34 @@ BENCHMARK(BM_CompactionVsNodes)
     ->Range(16, 128)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+// The scale rows of ROADMAP item 4: one relaxation run of cyclo_compact on
+// the 1k- and 4k-node generated graphs (seconds each, so outside the CI
+// benchmark filter).  compaction.passes is deterministic per graph.
+void BM_CompactionAtScale(benchmark::State& state) {
+  const Csdfg g = graph_of_size(static_cast<std::size_t>(state.range(0)));
+  const Topology topo = make_mesh(4, 2);
+  const StoreAndForwardModel comm(topo);
+  CycloCompactionOptions opt;
+  opt.policy = RemapPolicy::kWithRelaxation;
+  std::optional<CycloCompactionResult> run;
+  for (auto _ : state) {
+    run.emplace(cyclo_compact(g, topo, comm, opt));
+    benchmark::DoNotOptimize(*run);
+  }
+  // Every pass that starts appends one length_trace entry.
+  state.counters["compaction.passes"] = ::benchmark::Counter(
+      static_cast<double>(run->length_trace.size()));
+  state.counters["best_length"] =
+      ::benchmark::Counter(static_cast<double>(run->best_length()));
+  state.counters["best_pass"] =
+      ::benchmark::Counter(static_cast<double>(run->best_pass));
+}
+BENCHMARK(BM_CompactionAtScale)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CompactionVsPes(benchmark::State& state) {
   const Csdfg g = graph_of_size(32);

@@ -1,6 +1,6 @@
 #include "cli/cli.hpp"
 
-#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -33,6 +33,7 @@
 #include "sim/executor.hpp"
 #include "sim/gantt.hpp"
 #include "util/error.hpp"
+#include "util/numbers.hpp"
 
 namespace ccs {
 
@@ -46,15 +47,6 @@ constexpr int kUsage = 2;
 struct UsageError {
   std::string message;
 };
-
-/// Reads all of `text` as one decimal integer that fits `out`: "3abc",
-/// "1.9", "+3" and, for an unsigned `out`, "-1" are refused.
-template <class Int>
-bool parse_whole(std::string_view text, Int& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
 
 /// Parsed command line: positional arguments plus --key[=value] options.
 class Args {
@@ -955,12 +947,10 @@ int cmd_report(Args& args, std::istream& in, std::ostream& out) {
     throw UsageError{"--threshold/--gate need --diff"};
   DiffOptions dopt;
   if (threshold) {
-    try {
-      dopt.threshold_pct = std::stod(*threshold);
-    } catch (const std::exception&) {
+    if (!parse_whole(*threshold, dopt.threshold_pct) ||
+        !std::isfinite(dopt.threshold_pct))
       throw UsageError{"--threshold expects a number (percent), got '" +
                        *threshold + "'"};
-    }
     if (dopt.threshold_pct < 0)
       throw UsageError{"--threshold must be >= 0"};
   }

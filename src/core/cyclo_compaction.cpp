@@ -1,6 +1,6 @@
 #include "core/cyclo_compaction.hpp"
 
-#include <utility>
+#include <optional>
 
 #include "util/contracts.hpp"
 
@@ -12,24 +12,36 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
                                     const ObsContext& obs) {
   g.require_legal();
   const ObsSpan run_span = obs.span("compact");
-
-  ScheduleTable startup =
+  const ScheduleTable startup =
       start_up_schedule(g, topo, comm, options.startup, obs);
+  return cyclo_compact_from(g, startup, comm, options, obs);
+}
 
+CycloCompactionResult cyclo_compact_from(const Csdfg& g,
+                                         const ScheduleTable& startup,
+                                         const CommModel& comm,
+                                         const CycloCompactionOptions& options,
+                                         const ObsContext& obs) {
+  CCS_EXPECTS(startup.node_count() == g.node_count());
+  CCS_EXPECTS(startup.complete());
   const int passes = options.passes > 0
                          ? options.passes
                          : 3 * static_cast<int>(std::max<std::size_t>(
                                    1, g.node_count()));
 
   // The engine owns the working graph, retiming, and placements; each pass
-  // is rotate / remap / commit, and a failed pass rolls back wholesale.
-  RemapEngine engine(g, comm);
-  engine.bind(startup);
+  // is rotate / remap / commit, and a failed pass rolls back.  It is built
+  // at the first pass that runs, so a run stopped before pass 1 builds none.
+  std::optional<RemapEngine> engine;
 
   CycloCompactionResult result{g,       Retiming(g.node_count()),
                                startup, startup,
                                {},      0,
                                {},      {}};
+  // The best-so-far stays flat (placements here, the retiming in `result`)
+  // and is materialized once at the end; `best_length` is its length.
+  FlatSchedule best;
+  int best_length = startup.length();
 
   // Budget bookkeeping: all three stop conditions are evaluated at pass
   // boundaries so a budgeted run is a deterministic prefix of the
@@ -49,8 +61,7 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
       return "deadline";
     if (budget.patience > 0 && stale_passes >= budget.patience)
       return "patience";
-    if (budget.stop != nullptr &&
-        budget.stop->stop_requested(result.best.length()))
+    if (budget.stop != nullptr && budget.stop->stop_requested(best_length))
       return "preempted";
     return nullptr;
   };
@@ -59,29 +70,33 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
     if (const char* reason = budget_stop(pass)) {
       result.stop_reason = reason;
       obs.count("compaction.budget_stops");
-      obs.emit(BudgetEvent{reason, pass, result.best.length()});
+      obs.emit(BudgetEvent{reason, pass, best_length});
       break;
     }
-    const int previous_length = engine.length();
+    const int previous_length = engine ? engine->length() : startup.length();
     if (previous_length <= 0) break;
+    if (!engine) {
+      engine.emplace(g, comm);
+      engine->bind(startup);
+    }
     const ObsSpan pass_span = obs.span("compact.pass");
     obs.count("compaction.passes");
     obs.emit(PassStartEvent{pass, previous_length});
 
-    const std::vector<NodeId> rotated = engine.rotate();
+    const std::vector<NodeId> rotated = engine->rotate();
     if (obs.metrics != nullptr)
       obs.metrics->add("rotation.nodes",
                        static_cast<long long>(rotated.size()));
     if (obs.tracing()) obs.emit(RotationEvent{pass, rotated});
 
     const std::optional<int> remapped =
-        engine.remap(rotated, previous_length, options.policy,
-                     options.selection, obs);
+        engine->remap(rotated, previous_length, options.policy,
+                      options.selection, obs);
     if (!remapped) {
       // Without relaxation a pass that cannot keep the length is abandoned;
       // the configuration would repeat forever, so the loop ends (the paper:
       // "the remapping phase does not occur in this case").
-      engine.rollback();
+      engine->rollback();
       result.length_trace.push_back(previous_length);
       obs.count("compaction.rollbacks");
       obs.emit(RollbackEvent{pass, previous_length,
@@ -89,25 +104,31 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
       break;
     }
 
-    engine.commit();
+    engine->commit();
     result.length_trace.push_back(*remapped);
 
-    const bool improved = *remapped < result.best.length();
+    const bool improved = *remapped < best_length;
     if (improved) {
-      result.best = engine.table();
-      result.retimed_graph = engine.graph();
-      result.retiming = engine.retiming();
+      engine->save(best);
+      result.retiming = engine->retiming();
+      best_length = *remapped;
       result.best_pass = pass;
       stale_passes = 0;
       obs.count("compaction.improved_passes");
     } else {
       ++stale_passes;
     }
-    obs.emit(
-        PassEndEvent{pass, *remapped, improved, result.best.length()});
+    obs.emit(PassEndEvent{pass, *remapped, improved, best_length});
   }
 
-  result.remap_stats = engine.stats();
+  if (result.best_pass > 0) {
+    // The retimed graph follows from the retiming: d_r(e) = d(e) + r(u) -
+    // r(v), exactly the delays the engine carried at the winning pass.
+    result.best = engine->table(best);
+    result.retiming.apply(result.retimed_graph);
+  }
+  if (engine) result.remap_stats = engine->stats();
+  CCS_ENSURES(result.best.length() == best_length);
   CCS_ENSURES(result.best.length() <= startup.length());
   return result;
 }

@@ -97,4 +97,14 @@ struct CycloCompactionResult {
     const Csdfg& g, const Topology& topo, const CommModel& comm,
     const CycloCompactionOptions& options = {}, const ObsContext& obs = {});
 
+/// The rotate-remap passes of cyclo_compact from a given start-up table:
+/// cyclo_compact is start_up_schedule followed by this call, and the
+/// portfolio shares one start-up table between the attempts whose
+/// StartUpOptions agree.  `startup` must be start_up_schedule's table for
+/// the legal graph `g` (`options.startup` is not consulted here).  Opens no
+/// span of its own: callers run it inside their "compact" span.
+[[nodiscard]] CycloCompactionResult cyclo_compact_from(
+    const Csdfg& g, const ScheduleTable& startup, const CommModel& comm,
+    const CycloCompactionOptions& options, const ObsContext& obs = {});
+
 }  // namespace ccs

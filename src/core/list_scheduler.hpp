@@ -40,6 +40,8 @@ struct StartUpOptions {
   /// homogeneous.  When non-empty, the size must equal the topology's
   /// processor count.
   std::vector<int> pe_speeds;
+
+  [[nodiscard]] bool operator==(const StartUpOptions&) const = default;
 };
 
 /// Runs the start-up scheduling algorithm of Section 3.1 on `g` for the

@@ -8,13 +8,19 @@
 
 namespace ccs {
 
+namespace {
+
+/// Empty row-list link.
+constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Engine lifecycle.
 // ---------------------------------------------------------------------------
 
 RemapEngine::RemapEngine(const Csdfg& g, const CommModel& comm)
     : comm_(&comm),
-      base_graph_(g),
       num_nodes_(g.node_count()),
       graph_(g),
       retiming_(g.node_count()) {
@@ -23,7 +29,11 @@ RemapEngine::RemapEngine(const Csdfg& g, const CommModel& comm)
   // Volumes are immutable, so the edge -> volume-index map is build-once;
   // the flat cost table itself waits for bind() (it needs the PE count).
   vols_.reserve(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) vols_.push_back(g.edge(e).volume);
+  base_delays_.reserve(g.edge_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    vols_.push_back(g.edge(e).volume);
+    base_delays_.push_back(g.edge(e).delay);
+  }
   std::sort(vols_.begin(), vols_.end());
   vols_.erase(std::unique(vols_.begin(), vols_.end()), vols_.end());
   evol_idx_.resize(g.edge_count());
@@ -35,12 +45,17 @@ RemapEngine::RemapEngine(const Csdfg& g, const CommModel& comm)
   placed_.assign(num_nodes_, 0);
   wpe_.assign(num_nodes_, 0);
   wcb_.assign(num_nodes_, 0);
-  an_static_.resize(num_nodes_);
-  lat_static_.resize(num_nodes_);
-  ncomm_static_.resize(num_nodes_);
+  row_next_.assign(num_nodes_, kNoNode);
+  row_prev_.assign(num_nodes_, kNoNode);
+  psl_tree_.assign(2 * g.edge_count(), 0);
+  psl_broken_.assign(g.edge_count(), 0);
+  an_groups_.resize(num_nodes_);
+  lat_groups_.resize(num_nodes_);
+  ncomm_at_.resize(num_nodes_);
   dyn_an_.resize(num_nodes_);
   dyn_lat_.resize(num_nodes_);
   dyn_comm_.resize(num_nodes_);
+  rotating_.assign(num_nodes_, 0);
 }
 
 void RemapEngine::bind(const ScheduleTable& table) {
@@ -66,10 +81,11 @@ void RemapEngine::bind(const ScheduleTable& table) {
           std::max<long long>(worst_cost_, comm_->cost(a, b, max_volume));
   // Reset the working graph to the construction delays.
   for (EdgeId e = 0; e < graph_.edge_count(); ++e)
-    if (graph_.edge(e).delay != base_graph_.edge(e).delay)
-      graph_.set_delay(e, base_graph_.edge(e).delay);
+    if (graph_.edge(e).delay != base_delays_[e])
+      graph_.set_delay(e, base_delays_[e]);
   retiming_ = Retiming(num_nodes_);
   import_table(table);
+  journal_.clear();
   bound_ = true;
   commit();
 }
@@ -78,13 +94,18 @@ void RemapEngine::import_table(const ScheduleTable& table) {
   origin_ = 0;
   length_ = table.length();
   bits_.assign(num_pes_, {});
+  std::fill(placed_.begin(), placed_.end(), 0);
+  placed_count_ = 0;
+  row_head_.clear();
+  ce_count_.clear();
+  max_pce_ = 0;
+  std::fill(psl_tree_.begin(), psl_tree_.end(), 0);
+  std::fill(psl_broken_.begin(), psl_broken_.end(), 0);
+  broken_edges_ = 0;
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    placed_[v] = table.is_placed(v) ? 1 : 0;
-    if (!placed_[v]) continue;
+    if (!table.is_placed(v)) continue;
     const Placement p = table.placement(v);
-    wpe_[v] = p.pe;
-    wcb_[v] = p.cb;
-    set_bits(p.pe, p.cb, span_of(v, p.pe), true);
+    put(v, p.pe, p.cb);
   }
 }
 
@@ -93,44 +114,92 @@ std::vector<NodeId> RemapEngine::rotate() {
   CCS_EXPECTS(complete());
   CCS_EXPECTS(length_ >= 1);
   std::vector<NodeId> rotated;
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (placed_[v] != 0 && lcb(v) == 1) rotated.push_back(v);
-  Retiming r(num_nodes_);
-  for (NodeId v : rotated) r.add(v, 1);
-  r.apply(graph_);  // throws GraphError atomically; engine untouched
+  const auto first_row = static_cast<std::size_t>(origin_) + 1;
+  if (first_row < row_head_.size())
+    for (NodeId v = row_head_[first_row]; v != kNoNode; v = row_next_[v])
+      rotated.push_back(v);
+  std::sort(rotated.begin(), rotated.end());
+
+  // r(J) += 1 moves a delay only across the edges with exactly one endpoint
+  // in J: one is drawn from each edge entering J and pushed onto each edge
+  // leaving J.  Those are the only edges that can make it illegal.
+  for (NodeId v : rotated) rotating_[v] = 1;
+  bool legal = true;
+  for (NodeId v : rotated) {
+    for (EdgeId eid : graph_.in_edges(v)) {
+      const Edge& e = graph_.edge(eid);
+      if (rotating_[e.from] == 0 && e.delay == 0) legal = false;
+    }
+    for (EdgeId eid : graph_.out_edges(v)) {
+      const Edge& e = graph_.edge(eid);
+      if (rotating_[e.to] == 0 && e.delay == std::numeric_limits<int>::max())
+        legal = false;
+    }
+  }
+  if (!legal) {
+    for (NodeId v : rotated) rotating_[v] = 0;
+    // Cold path: the whole-graph retiming names the offending edge (the
+    // lowest id) and throws its GraphError; the engine stays untouched.
+    Retiming r(num_nodes_);
+    for (NodeId v : rotated) r.add(v, 1);
+    Csdfg probe = graph_;
+    r.apply(probe);
+    CCS_ASSERT(legal);  // unreachable: apply threw on the illegal edge
+  }
+
   for (NodeId v : rotated) unplace_working(v);
+  for (NodeId v : rotated) {
+    for (EdgeId eid : graph_.in_edges(v)) {
+      const Edge& e = graph_.edge(eid);
+      if (rotating_[e.from] == 0) set_delay_working(eid, e.delay - 1);
+    }
+    for (EdgeId eid : graph_.out_edges(v)) {
+      const Edge& e = graph_.edge(eid);
+      if (rotating_[e.to] == 0) set_delay_working(eid, e.delay + 1);
+    }
+    journal_.push_back({Undo::Kind::kRetiming, v, 0, retiming_.of(v)});
+    retiming_.add(v, 1);
+  }
+  for (NodeId v : rotated) rotating_[v] = 0;
   origin_ += 1;
   length_ -= 1;
-  retiming_ = retiming_ + r;
   return rotated;
 }
 
 void RemapEngine::commit() {
   CCS_EXPECTS(bound_);
-  committed_.placed = placed_;
-  committed_.pe = wpe_;
-  committed_.cb_phys = wcb_;
-  committed_.bits = bits_;
-  committed_.delays.resize(graph_.edge_count());
-  for (EdgeId e = 0; e < graph_.edge_count(); ++e)
-    committed_.delays[e] = graph_.edge(e).delay;
-  committed_.retiming = retiming_;
-  committed_.origin = origin_;
-  committed_.length = length_;
+  journal_.clear();
+  committed_origin_ = origin_;
+  committed_length_ = length_;
 }
 
 void RemapEngine::rollback() {
   CCS_EXPECTS(bound_);
-  placed_ = committed_.placed;
-  wpe_ = committed_.pe;
-  wcb_ = committed_.cb_phys;
-  bits_ = committed_.bits;
-  for (EdgeId e = 0; e < graph_.edge_count(); ++e)
-    if (graph_.edge(e).delay != committed_.delays[e])
-      graph_.set_delay(e, committed_.delays[e]);
-  retiming_ = committed_.retiming;
-  origin_ = committed_.origin;
-  length_ = committed_.length;
+  unwind(0, committed_origin_, committed_length_);
+}
+
+void RemapEngine::unwind(std::size_t mark, int origin, int length) {
+  while (journal_.size() > mark) {
+    const Undo u = journal_.back();
+    journal_.pop_back();
+    switch (u.kind) {
+      case Undo::Kind::kPlaced:
+        take(u.id);
+        break;
+      case Undo::Kind::kUnplaced:
+        put(u.id, u.pe, static_cast<int>(u.value));
+        break;
+      case Undo::Kind::kDelay:
+        graph_.set_delay(u.id, static_cast<int>(u.value));
+        refresh_psl(u.id);
+        break;
+      case Undo::Kind::kRetiming:
+        retiming_.set(u.id, u.value);
+        break;
+    }
+  }
+  origin_ = origin;
+  length_ = length;
 }
 
 ScheduleTable RemapEngine::table() const {
@@ -139,6 +208,24 @@ ScheduleTable RemapEngine::table() const {
   for (NodeId v = 0; v < num_nodes_; ++v)
     if (placed_[v] != 0) t.place(v, wpe_[v], lcb(v));
   t.set_length(length_);
+  return t;
+}
+
+void RemapEngine::save(FlatSchedule& out) const {
+  CCS_EXPECTS(bound_);
+  CCS_EXPECTS(complete());
+  out.pe.assign(wpe_.begin(), wpe_.end());
+  out.cb.resize(num_nodes_);
+  for (NodeId v = 0; v < num_nodes_; ++v) out.cb[v] = lcb(v);
+  out.length = length_;
+}
+
+ScheduleTable RemapEngine::table(const FlatSchedule& saved) const {
+  CCS_EXPECTS(bound_);
+  CCS_EXPECTS(saved.pe.size() == num_nodes_ && saved.cb.size() == num_nodes_);
+  ScheduleTable t(graph_, speeds_, pipelined_);
+  for (NodeId v = 0; v < num_nodes_; ++v) t.place(v, saved.pe[v], saved.cb[v]);
+  t.set_length(saved.length);
   return t;
 }
 
@@ -160,17 +247,16 @@ int RemapEngine::lce(NodeId v) const noexcept {
   return lcb(v) + time_on(v, wpe_[v]) - 1;
 }
 
+int RemapEngine::pce(NodeId v) const noexcept {
+  return wcb_[v] + time_on(v, wpe_[v]) - 1;
+}
+
 bool RemapEngine::complete() const noexcept {
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (placed_[v] == 0) return false;
-  return true;
+  return placed_count_ == num_nodes_;
 }
 
 int RemapEngine::occupied_logical() const noexcept {
-  int max_ce = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (placed_[v] != 0) max_ce = std::max(max_ce, lce(v));
-  return max_ce;
+  return placed_count_ == 0 ? 0 : max_pce_ - origin_;
 }
 
 CommCost RemapEngine::cost_at(std::size_t vol_idx, PeId from,
@@ -197,11 +283,8 @@ void RemapEngine::set_bits(PeId pe, int cb_phys, int span, bool value) {
 void RemapEngine::place_working(NodeId v, PeId pe, int cb_logical) {
   CCS_ASSERT(placed_[v] == 0);
   CCS_ASSERT(cb_logical >= 1);
-  const int pcb = cb_logical + origin_;
-  placed_[v] = 1;
-  wpe_[v] = pe;
-  wcb_[v] = pcb;
-  set_bits(pe, pcb, span_of(v, pe), true);
+  put(v, pe, cb_logical + origin_);
+  journal_.push_back({Undo::Kind::kPlaced, v});
   // Mirror ScheduleTable::place: length grows by the *execution* span even
   // on pipelined PEs (only the issue step is occupied, but CE counts).
   length_ = std::max(length_, cb_logical + time_on(v, pe) - 1);
@@ -209,8 +292,88 @@ void RemapEngine::place_working(NodeId v, PeId pe, int cb_logical) {
 
 void RemapEngine::unplace_working(NodeId v) {
   CCS_ASSERT(placed_[v] != 0);
+  journal_.push_back({Undo::Kind::kUnplaced, v, wpe_[v], wcb_[v]});
+  take(v);
+}
+
+void RemapEngine::set_delay_working(EdgeId e, int delay) {
+  journal_.push_back({Undo::Kind::kDelay, e, 0, graph_.edge(e).delay});
+  graph_.set_delay(e, delay);
+  refresh_psl(e);
+}
+
+void RemapEngine::put(NodeId v, PeId pe, int cb_phys) {
+  placed_[v] = 1;
+  ++placed_count_;
+  wpe_[v] = pe;
+  wcb_[v] = cb_phys;
+  set_bits(pe, cb_phys, span_of(v, pe), true);
+  const auto row = static_cast<std::size_t>(cb_phys);
+  if (row >= row_head_.size()) row_head_.resize(row + 1, kNoNode);
+  row_prev_[v] = kNoNode;
+  row_next_[v] = row_head_[row];
+  if (row_head_[row] != kNoNode) row_prev_[row_head_[row]] = v;
+  row_head_[row] = v;
+  const int ce = pce(v);
+  if (static_cast<std::size_t>(ce) >= ce_count_.size())
+    ce_count_.resize(static_cast<std::size_t>(ce) + 1, 0);
+  ++ce_count_[static_cast<std::size_t>(ce)];
+  max_pce_ = std::max(max_pce_, ce);
+  for (EdgeId e : graph_.out_edges(v)) refresh_psl(e);
+  for (EdgeId e : graph_.in_edges(v))
+    if (graph_.edge(e).from != v) refresh_psl(e);  // self-loops done above
+}
+
+void RemapEngine::take(NodeId v) {
   set_bits(wpe_[v], wcb_[v], span_of(v, wpe_[v]), false);
   placed_[v] = 0;
+  --placed_count_;
+  const NodeId prev = row_prev_[v];
+  const NodeId next = row_next_[v];
+  if (prev != kNoNode)
+    row_next_[prev] = next;
+  else
+    row_head_[static_cast<std::size_t>(wcb_[v])] = next;
+  if (next != kNoNode) row_prev_[next] = prev;
+  --ce_count_[static_cast<std::size_t>(pce(v))];
+  if (placed_count_ == 0)
+    max_pce_ = 0;
+  else
+    while (ce_count_[static_cast<std::size_t>(max_pce_)] == 0) --max_pce_;
+  for (EdgeId e : graph_.out_edges(v)) refresh_psl(e);
+  for (EdgeId e : graph_.in_edges(v))
+    if (graph_.edge(e).from != v) refresh_psl(e);
+}
+
+void RemapEngine::refresh_psl(EdgeId eid) {
+  const Edge& e = graph_.edge(eid);
+  long long need = 0;
+  bool broken = false;
+  if (placed_[e.from] != 0 && placed_[e.to] != 0) {
+    // Lemma 4.3 slack CE(u) + M + 1 - CB(v): a difference of two steps, so
+    // the physical steps give it without the origin.
+    const long long slack =
+        static_cast<long long>(pce(e.from)) +
+        cost_at(evol_idx_[eid], wpe_[e.from], wpe_[e.to]) + 1 - wcb_[e.to];
+    if (slack > 0) {
+      if (e.delay == 0)
+        broken = true;
+      else
+        need = (slack + e.delay - 1) / e.delay;
+    }
+  }
+  if (broken != (psl_broken_[eid] != 0)) {
+    psl_broken_[eid] = broken ? 1 : 0;
+    if (broken)
+      ++broken_edges_;
+    else
+      --broken_edges_;
+  }
+  std::size_t i = graph_.edge_count() + eid;
+  if (psl_tree_[i] == need) return;
+  psl_tree_[i] = need;
+  for (i /= 2; i >= 1; i /= 2)
+    psl_tree_[i] = std::max(psl_tree_[2 * i], psl_tree_[2 * i + 1]);
 }
 
 int RemapEngine::bitset_first_free(PeId pe, int earliest, int span,
@@ -254,46 +417,55 @@ void RemapEngine::build_static_caches(const std::vector<NodeId>& rotated,
                                       RemapSelection selection) {
   constexpr long long kNegInf = std::numeric_limits<long long>::min() / 4;
   constexpr long long kPosInf = std::numeric_limits<long long>::max() / 4;
-  const auto group = [this](std::vector<KGroup>& groups, long long k,
-                            long long init) -> KGroup& {
-    for (KGroup& gr : groups)
-      if (gr.k == k) return gr;
-    groups.push_back(KGroup{k, std::vector<long long>(num_pes_, init)});
-    return groups.back();
+  // Every fold lives in the one reused arena fold_; a node's groups are a
+  // contiguous run of groups_ because each node's edges are folded in one
+  // go.  Returns the fold's offset (arena growth invalidates references).
+  fold_.clear();
+  groups_.clear();
+  const auto group = [this](GroupRange& range, long long k,
+                            long long init) -> std::size_t {
+    for (std::size_t i = range.first; i < range.first + range.count; ++i)
+      if (groups_[i].k == k) return groups_[i].at;
+    const std::size_t at = fold_.size();
+    fold_.resize(at + num_pes_, init);
+    groups_.push_back(KGroup{k, at});
+    ++range.count;
+    return at;
   };
   for (NodeId v : rotated) {
-    an_static_[v].clear();
-    lat_static_[v].clear();
-    ncomm_static_[v].assign(num_pes_, 0);
     dyn_an_[v].clear();
     dyn_lat_[v].clear();
     dyn_comm_[v].clear();
+    const std::size_t comm = fold_.size();
+    ncomm_at_[v] = comm;
+    fold_.resize(comm + num_pes_, 0);
+    an_groups_[v] = GroupRange{groups_.size(), 0};
     for (EdgeId eid : graph_.in_edges(v)) {
       const Edge& e = graph_.edge(eid);
       if (e.from == v) continue;          // self-loop
       if (placed_[e.from] == 0) continue; // rotated peer: handled as a delta
       const std::size_t vol = evol_idx_[eid];
       const long long head = lce(e.from) + 1;
-      KGroup& gr = group(an_static_[v], e.delay, kNegInf);
+      const std::size_t at = group(an_groups_[v], e.delay, kNegInf);
       for (PeId p = 0; p < num_pes_; ++p) {
         const CommCost m = cost_at(vol, wpe_[e.from], p);
-        gr.per_pe[p] = std::max(gr.per_pe[p], head + m);
-        ncomm_static_[v][p] += m;
+        fold_[at + p] = std::max(fold_[at + p], head + m);
+        fold_[comm + p] += m;
       }
     }
+    lat_groups_[v] = GroupRange{groups_.size(), 0};
     for (EdgeId eid : graph_.out_edges(v)) {
       const Edge& e = graph_.edge(eid);
       if (e.to == v) continue;
       if (placed_[e.to] == 0) continue;
       const std::size_t vol = evol_idx_[eid];
-      KGroup* gr = selection == RemapSelection::kBidirectional
-                       ? &group(lat_static_[v], e.delay, kPosInf)
-                       : nullptr;
+      const bool bidir = selection == RemapSelection::kBidirectional;
+      const std::size_t at =
+          bidir ? group(lat_groups_[v], e.delay, kPosInf) : 0;
       for (PeId p = 0; p < num_pes_; ++p) {
         const CommCost m = cost_at(vol, p, wpe_[e.to]);
-        if (gr != nullptr)
-          gr->per_pe[p] = std::min(gr->per_pe[p], lcb(e.to) - m);
-        ncomm_static_[v][p] += m;
+        if (bidir) fold_[at + p] = std::min(fold_[at + p], lcb(e.to) - m);
+        fold_[comm + p] += m;
       }
     }
   }
@@ -302,8 +474,10 @@ void RemapEngine::build_static_caches(const std::vector<NodeId>& rotated,
 long long RemapEngine::eval_an(NodeId v, PeId pe,
                                long long target) const noexcept {
   long long earliest = 1;
-  for (const KGroup& gr : an_static_[v])
-    earliest = std::max(earliest, gr.per_pe[pe] - gr.k * target);
+  const GroupRange& range = an_groups_[v];
+  for (std::size_t i = range.first; i < range.first + range.count; ++i)
+    earliest = std::max(earliest,
+                        fold_[groups_[i].at + pe] - groups_[i].k * target);
   for (const DynAn& d : dyn_an_[v])
     earliest =
         std::max(earliest, d.base + cost_at(d.vol, d.pe, pe) - d.k * target);
@@ -314,8 +488,10 @@ long long RemapEngine::eval_latest(NodeId v, PeId pe,
                                    long long target) const noexcept {
   const long long ton = time_on(v, pe);
   long long latest = target - ton + 1;
-  for (const KGroup& gr : lat_static_[v])
-    latest = std::min(latest, gr.per_pe[pe] + gr.k * target - ton);
+  const GroupRange& range = lat_groups_[v];
+  for (std::size_t i = range.first; i < range.first + range.count; ++i)
+    latest = std::min(latest,
+                      fold_[groups_[i].at + pe] + groups_[i].k * target - ton);
   for (const DynLat& d : dyn_lat_[v])
     latest =
         std::min(latest, d.cb + d.k * target - cost_at(d.vol, pe, d.pe) - ton);
@@ -325,7 +501,7 @@ long long RemapEngine::eval_latest(NodeId v, PeId pe,
 }
 
 long long RemapEngine::eval_neighbor_comm(NodeId v, PeId pe) const noexcept {
-  long long total = ncomm_static_[v][pe];
+  long long total = fold_[ncomm_at_[v] + pe];
   for (const DynComm& d : dyn_comm_[v])
     total += d.incoming ? cost_at(d.vol, d.pe, pe) : cost_at(d.vol, pe, d.pe);
   return total;
@@ -360,21 +536,12 @@ int RemapEngine::node_psl_bound_soa(NodeId v, PeId pe, int cb) const {
 }
 
 int RemapEngine::min_feasible_soa() const {
-  // Mirror of min_feasible_length (Lemma 4.3) over the SoA state.
+  // min_feasible_length (Lemma 4.3) read off the per-edge requirements that
+  // put/take keep current: O(1) instead of a pass over every edge.
+  CCS_EXPECTS(complete());
+  if (broken_edges_ > 0) return -1;
   long long needed = occupied_logical();
-  for (EdgeId eid = 0; eid < graph_.edge_count(); ++eid) {
-    const Edge& e = graph_.edge(eid);
-    const long long ce_u = lce(e.from);
-    const long long cb_v = lcb(e.to);
-    const long long m = cost_at(evol_idx_[eid], wpe_[e.from], wpe_[e.to]);
-    const long long slack = ce_u + m + 1 - cb_v;
-    const long long k = e.delay;
-    if (k == 0) {
-      if (slack > 0) return -1;
-    } else if (slack > 0) {
-      needed = std::max(needed, (slack + k - 1) / k);
-    }
-  }
+  if (!psl_tree_.empty()) needed = std::max(needed, psl_tree_[1]);
   CCS_ENSURES(needed <= std::numeric_limits<int>::max());
   return static_cast<int>(needed);
 }
@@ -407,6 +574,7 @@ std::optional<int> RemapEngine::remap(const std::vector<NodeId>& rotated,
         std::min<long long>(cap, std::numeric_limits<int>::max() / 2));
   }
 
+  const std::size_t base_mark = journal_.size();
   const int base_origin = origin_;
   const int base_length = length_;
   for (int target = first_target; target <= last_target; ++target) {
@@ -420,7 +588,7 @@ std::optional<int> RemapEngine::remap(const std::vector<NodeId>& rotated,
         *length > previous_length) {
       // The placement succeeded but the PSL padding overshot the budget.
       obs.count("psl.rejections");
-      unwind(base_origin, base_length);
+      unwind(base_mark, base_origin, base_length);
       continue;
     }
     return length;
@@ -439,33 +607,23 @@ std::optional<int> RemapEngine::place(const std::vector<NodeId>& tasks,
 
 void RemapEngine::prepare(const std::vector<NodeId>& tasks,
                           RemapSelection selection) {
-  std::size_t unplaced = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (placed_[v] == 0) ++unplaced;
-  CCS_EXPECTS(tasks.size() == unplaced);
+  CCS_EXPECTS(tasks.size() == num_nodes_ - placed_count_);
   for (NodeId v : tasks) CCS_EXPECTS(v < num_nodes_ && placed_[v] == 0);
-  // Place long tasks first; ties broken by node id for determinism.
+  // Place long tasks first; ties broken by node id.  The order is total,
+  // so an unstable sort is just as deterministic.
   order_ = tasks;
-  std::stable_sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
+  std::sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
     if (times_[a] != times_[b]) return times_[a] > times_[b];
     return a < b;
   });
   build_static_caches(tasks, selection);
 }
 
-void RemapEngine::unwind(int origin, int length) {
-  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it)
-    unplace_working(*it);
-  undo_.clear();
-  origin_ = origin;
-  length_ = length;
-}
-
 std::optional<int> RemapEngine::attempt(int target, RemapSelection selection,
                                         const ObsContext& obs) {
+  const std::size_t base_mark = journal_.size();
   const int base_origin = origin_;
   const int base_length = length_;
-  undo_.clear();
   for (NodeId v : order_) {
     dyn_an_[v].clear();
     dyn_lat_[v].clear();
@@ -559,7 +717,7 @@ std::optional<int> RemapEngine::attempt(int target, RemapSelection selection,
         ev.reason = "no-feasible-slot";
         obs.emit(ev);
       }
-      unwind(base_origin, base_length);
+      unwind(base_mark, base_origin, base_length);
       return std::nullopt;
     }
     if (obs.tracing()) {
@@ -577,7 +735,6 @@ std::optional<int> RemapEngine::attempt(int target, RemapSelection selection,
     }
     place_working(v, best_pe, best_cb);
     free_memo_[best_pe] = FreeMemo{};  // occupancy changed on this PE only
-    undo_.push_back(v);
     obs.count("remap.placements");
     // Delta updates: placing v changes the cached bounds of exactly the
     // unplaced (i.e. still-rotated) endpoints of v's own edges — no other
@@ -603,13 +760,13 @@ std::optional<int> RemapEngine::attempt(int target, RemapSelection selection,
   flush_tallies();
 
   // Leading compaction: with every task placed, shifting is just an
-  // origin bump of (min CB - 1).
+  // origin bump over the empty rows above the first occupied one.
   length_ = std::max(length_, occupied_logical());
   if (num_nodes_ > 0) {
-    int min_cb = std::numeric_limits<int>::max();
-    for (NodeId v = 0; v < num_nodes_; ++v)
-      min_cb = std::min(min_cb, lcb(v));
-    const int removed = min_cb - 1;
+    auto row = static_cast<std::size_t>(origin_) + 1;
+    while (row < row_head_.size() && row_head_[row] == kNoNode) ++row;
+    CCS_ASSERT(row < row_head_.size());
+    const int removed = static_cast<int>(row) - origin_ - 1;
     if (removed > 0) {
       origin_ += removed;
       length_ -= removed;
@@ -626,7 +783,7 @@ std::optional<int> RemapEngine::attempt(int target, RemapSelection selection,
     // kAnticipationOnly, whose successor dependences are unchecked.
     obs.count("psl.rejections");
     obs.emit(PslPadEvent{needed, length_});
-    unwind(base_origin, base_length);
+    unwind(base_mark, base_origin, base_length);
     return std::nullopt;
   }
   length_ = std::max(occupied_logical(), needed);

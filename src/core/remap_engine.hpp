@@ -19,7 +19,14 @@
 //    Lemma 4.2);
 //  * flat SoA arrays (start step, PE, CE) replace the map-shaped table in
 //    the scheduler inner loop, with an origin offset so the post-rotation
-//    uniform shift is a single integer increment.
+//    uniform shift is a single integer increment;
+//  * the first row, the occupied length, the leading empty rows and the
+//    Lemma 4.3 PSL padding are maintained on every place/unplace (per-step
+//    row lists and CE counts, a per-edge max tree of PSL requirements), so
+//    a target attempt never rescans the whole graph;
+//  * an undo journal records the placements, edge delays and retiming
+//    entries touched since the last commit(), so commit() is O(1) and
+//    rollback() costs what the discarded pass touched.
 //
 // Lifecycle:
 //
@@ -78,11 +85,20 @@ struct RemapStats {
   long long an_evaluations = 0;
 };
 
+/// A complete schedule as flat per-task arrays: what a driver keeps as its
+/// best-so-far (RemapEngine::save) and materializes once at the end
+/// (RemapEngine::table(const FlatSchedule&)).
+struct FlatSchedule {
+  std::vector<PeId> pe;  ///< Processor per task.
+  std::vector<int> cb;   ///< Logical (1-based) first control step per task.
+  int length = 0;
+};
+
 /// The incremental remap engine.  One engine serves one (graph, machine)
 /// compaction run: bind() imports the start-up schedule, then each pass is
 /// rotate() / remap() / commit()-or-rollback().  All views (table(),
 /// graph(), retiming(), length()) reflect the *working* state; rollback()
-/// restores the last committed state wholesale.
+/// restores the last committed state by undoing the journal.
 ///
 /// Not thread-safe; give each portfolio attempt its own engine.
 class RemapEngine {
@@ -102,7 +118,9 @@ class RemapEngine {
   /// CB == 1 (ascending id), removes them, applies the retiming
   /// r(J) += 1 to the working graph, and shifts every remaining task one
   /// step earlier.  Throws GraphError (engine untouched) if the retiming
-  /// would be illegal.  Requires every task placed.
+  /// would be illegal, with Retiming::apply's message.  Requires every task
+  /// placed.  Costs O(|J| log |J|) plus the degree of J: only edges with
+  /// exactly one endpoint in J change delay.
   std::vector<NodeId> rotate();
 
   /// One full remapping pass per Definition 4.2 over the working state:
@@ -133,11 +151,13 @@ class RemapEngine {
                                          int target, RemapSelection selection,
                                          const ObsContext& obs = {});
 
-  /// Accepts the working state as the new committed state.
+  /// Accepts the working state as the new committed state.  O(1): it
+  /// clears the undo journal.
   void commit();
 
   /// Discards the working state and restores the last committed one
-  /// (placements, length, graph delays, retiming).
+  /// (placements, length, graph delays, retiming) by undoing the journal
+  /// in reverse: the cost is what the discarded work touched.
   void rollback();
 
   /// True once bind() has run.
@@ -157,12 +177,24 @@ class RemapEngine {
   /// rotated out and not yet remapped are left unplaced.
   [[nodiscard]] ScheduleTable table() const;
 
+  /// Copies the complete working state into `out`, reusing its storage.
+  void save(FlatSchedule& out) const;
+
+  /// Materializes a state saved by save() exactly as table() did then.
+  [[nodiscard]] ScheduleTable table(const FlatSchedule& saved) const;
+
  private:
-  /// A cached bound contribution group: every placed static neighbor with
-  /// the same edge delay k, folded per candidate processor.
+  /// A cached bound fold: every placed static neighbor with the same edge
+  /// delay k, folded per candidate processor into num_pes_ consecutive
+  /// entries of fold_ (max for AN, min for latest).
   struct KGroup {
     long long k = 0;
-    std::vector<long long> per_pe;  ///< max (AN) / min (latest) fold.
+    std::size_t at = 0;  ///< Offset of the per-PE fold in fold_.
+  };
+  /// A node's groups: a contiguous run of groups_.
+  struct GroupRange {
+    std::size_t first = 0;
+    std::size_t count = 0;
   };
   /// Delta entry from a rotated predecessor placed mid-attempt.
   struct DynAn {
@@ -190,16 +222,14 @@ class RemapEngine {
     int cb = -1;
     int span = -1;
   };
-  /// Everything rollback() restores.
-  struct Snapshot {
-    std::vector<unsigned char> placed;
-    std::vector<PeId> pe;
-    std::vector<int> cb_phys;
-    std::vector<std::vector<std::uint64_t>> bits;
-    std::vector<int> delays;
-    Retiming retiming{0};
-    int origin = 0;
-    int length = 0;
+  /// One undo-journal entry: the prior value of a piece of working state
+  /// touched since the last commit().
+  struct Undo {
+    enum class Kind : unsigned char { kPlaced, kUnplaced, kDelay, kRetiming };
+    Kind kind = Kind::kPlaced;
+    std::size_t id = 0;   ///< Node (placements, retiming) or edge (delay).
+    PeId pe = 0;          ///< kUnplaced: the task's processor.
+    long long value = 0;  ///< kUnplaced: physical CB; else the old value.
   };
 
   // Geometry helpers (logical step = physical step - origin_).
@@ -207,15 +237,27 @@ class RemapEngine {
   [[nodiscard]] int time_on(NodeId v, PeId pe) const noexcept;
   [[nodiscard]] int lcb(NodeId v) const noexcept;  ///< Logical CB.
   [[nodiscard]] int lce(NodeId v) const noexcept;  ///< Logical CE.
+  [[nodiscard]] int pce(NodeId v) const noexcept;  ///< Physical CE.
   [[nodiscard]] bool complete() const noexcept;
   [[nodiscard]] int occupied_logical() const noexcept;
   [[nodiscard]] CommCost cost_at(std::size_t vol_idx, PeId from,
                                  PeId to) const noexcept;
 
   void import_table(const ScheduleTable& table);
+  /// Journaled placement changes (the working-state mutators).
   void place_working(NodeId v, PeId pe, int cb_logical);
   void unplace_working(NodeId v);
+  void set_delay_working(EdgeId e, int delay);
+  /// Raw placement changes: occupancy, row lists, CE counts and the PSL
+  /// requirements of v's edges, without journaling.
+  void put(NodeId v, PeId pe, int cb_phys);
+  void take(NodeId v);
   void set_bits(PeId pe, int cb_phys, int span, bool value);
+  /// Recomputes edge e's Lemma 4.3 requirement from the current state.
+  void refresh_psl(EdgeId e);
+  /// Undoes the journal down to `mark` entries, newest first, and restores
+  /// origin and length (which every pass or attempt saves at its start).
+  void unwind(std::size_t mark, int origin, int length);
 
   /// First logical step >= earliest with `span` free steps on `pe`,
   /// counting one probe per bitset word examined.
@@ -226,13 +268,11 @@ class RemapEngine {
   /// bound caches; once per remap() / place() call.
   void prepare(const std::vector<NodeId>& tasks, RemapSelection selection);
   /// One placement attempt of order_ at `target` (the body of place()).
-  /// On success the working state is complete and undo_ lists the
+  /// On success the working state is complete and the journal lists the
   /// placements; on failure the working state is unwound.
   [[nodiscard]] std::optional<int> attempt(int target,
                                            RemapSelection selection,
                                            const ObsContext& obs);
-  /// Removes the placements in undo_ and restores origin and length.
-  void unwind(int origin, int length);
 
   void build_static_caches(const std::vector<NodeId>& rotated,
                            RemapSelection selection);
@@ -247,12 +287,12 @@ class RemapEngine {
 
   // Immutable after construction / bind().
   const CommModel* comm_;
-  Csdfg base_graph_;  ///< Construction-time graph (pristine delays).
   std::size_t num_nodes_ = 0;
   std::size_t num_pes_ = 0;
   bool pipelined_ = false;
   bool bound_ = false;
   std::vector<int> times_;
+  std::vector<int> base_delays_;  ///< Construction-time edge delays.
   std::vector<int> speeds_;
   std::vector<std::size_t> evol_idx_;  ///< Edge -> volume index.
   std::vector<std::size_t> vols_;      ///< Sorted-unique edge volumes.
@@ -270,19 +310,41 @@ class RemapEngine {
   std::vector<std::vector<std::uint64_t>> bits_;  ///< Physical occupancy.
   int origin_ = 0;
   int length_ = 0;
+  std::size_t placed_count_ = 0;
 
-  Snapshot committed_;
+  // Maintained on put/take, indexed by physical step.
+  /// First task of the intrusive list of tasks starting at each step
+  /// (kNoNode when none); row_next_/row_prev_ link the tasks of a row.
+  std::vector<NodeId> row_head_;
+  std::vector<NodeId> row_next_;
+  std::vector<NodeId> row_prev_;
+  std::vector<int> ce_count_;  ///< Placed tasks ending at each step.
+  int max_pce_ = 0;            ///< Largest physical CE placed (0: none).
+  /// Lemma 4.3 per edge with both endpoints placed: leaves [E, 2E) of a
+  /// max tree hold ceil(slack / d) (0 when satisfied); slack is invariant
+  /// under the uniform origin shift, so only re-placed tasks' edges move.
+  std::vector<long long> psl_tree_;
+  /// Zero-delay edges whose slack is positive (intra-iteration breaks).
+  std::vector<unsigned char> psl_broken_;
+  std::size_t broken_edges_ = 0;
+
+  // Undo journal since the last commit().
+  std::vector<Undo> journal_;
+  int committed_origin_ = 0;
+  int committed_length_ = 0;
   RemapStats stats_;
 
   // Per-remap-call scratch (sized to the graph, reused across calls).
-  std::vector<std::vector<KGroup>> an_static_;
-  std::vector<std::vector<KGroup>> lat_static_;
-  std::vector<std::vector<long long>> ncomm_static_;
+  std::vector<long long> fold_;  ///< Arena of per-PE folds and comm sums.
+  std::vector<KGroup> groups_;
+  std::vector<GroupRange> an_groups_;
+  std::vector<GroupRange> lat_groups_;
+  std::vector<std::size_t> ncomm_at_;  ///< Offset of v's comm sums in fold_.
   std::vector<std::vector<DynAn>> dyn_an_;
   std::vector<std::vector<DynLat>> dyn_lat_;
   std::vector<std::vector<DynComm>> dyn_comm_;
   std::vector<NodeId> order_;  ///< Placement order of the current call.
-  std::vector<NodeId> undo_;   ///< Placements of the current attempt.
+  std::vector<unsigned char> rotating_;  ///< rotate()'s membership marks.
   std::vector<FreeMemo> free_memo_;
 };
 

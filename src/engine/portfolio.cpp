@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <exception>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -204,6 +205,25 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   };
   std::vector<Slot> slots(roster.size());
 
+  // One start-up schedule per distinct StartUpOptions (the roster varies
+  // only the priority rule, so 3 tables serve 24 attempts): the
+  // lowest-indexed attempt using the options lists it under its own obs
+  // context and publishes it; later attempts wait for it.  Workers take
+  // attempts in index order and an owner never waits, so nothing deadlocks.
+  std::vector<std::size_t> owner(roster.size());
+  std::vector<std::promise<ScheduleTable>> published(roster.size());
+  std::vector<std::shared_future<ScheduleTable>> startups(roster.size());
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    owner[i] = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (roster[j].options.startup == roster[i].options.startup) {
+        owner[i] = owner[j];
+        break;
+      }
+    }
+    if (owner[i] == i) startups[i] = published[i].get_future().share();
+  }
+
   SharedState shared;
   std::atomic<std::size_t> next{0};
   const bool want_traces = obs.tracing();
@@ -212,6 +232,8 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
 
   const auto run_attempt = [&](std::size_t i) {
     Slot& slot = slots[i];
+    const bool owns_startup = owner[i] == i;
+    bool startup_published = false;
     try {
       CycloCompactionOptions options = roster[i].options;
       const IncumbentStopToken token(shared, lower_bound, i,
@@ -237,7 +259,17 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
       std::optional<CycloCompactionResult> run;
       {
         const ObsSpan attempt_span = attempt_obs.span("portfolio.attempt");
-        run.emplace(cyclo_compact(g, topo, comm, options, attempt_obs));
+        const ObsSpan compact_span = attempt_obs.span("compact");
+        if (owns_startup) {
+          published[i].set_value(start_up_schedule(
+              g, topo, comm, options.startup, attempt_obs));
+          startup_published = true;
+        }
+        // Through a copy of its own: workers waiting on one state each
+        // hold their own shared_future, the documented race-free way.
+        const std::shared_future<ScheduleTable> startup = startups[owner[i]];
+        run.emplace(
+            cyclo_compact_from(g, startup.get(), comm, options, attempt_obs));
       }
       CycloCompactionResult& result = *run;
 
@@ -255,6 +287,9 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
       if (want_traces) slot.trace_lines = sink.lines();
     } catch (...) {
       slot.error = std::current_exception();
+      // Attempts waiting on this start-up table get the same failure.
+      if (owns_startup && !startup_published)
+        published[i].set_exception(slot.error);
     }
   };
 

@@ -18,6 +18,11 @@
 //     per-attempt deterministic Rng(seed, index) — more attempts never
 //     reshuffle earlier ones.
 //
+// Attempts whose StartUpOptions agree share one start-up schedule: the
+// lowest-indexed of them lists it (its trace carries startup.list and
+// startup_done) and the rest compact from the same table
+// (cyclo_compact_from), so the default roster lists 3 tables, not 24.
+//
 // Determinism contract: for a fixed (graph, machine, options, seed), the
 // winning schedule is bit-identical across runs and across --jobs values.
 // The winner is the attempt with the smallest best length, ties broken by

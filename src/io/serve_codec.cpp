@@ -1,10 +1,10 @@
 #include "io/serve_codec.hpp"
 
-#include <charconv>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "obs/trace_reader.hpp"
+#include "util/numbers.hpp"
 
 namespace ccs {
 
@@ -84,9 +84,7 @@ bool read_speeds(const TraceEvent& e, std::vector<int>& out,
   std::string tok;
   while (std::getline(ls, tok, ',')) {
     int s = 0;
-    const char* end = tok.data() + tok.size();
-    const auto [ptr, ec] = std::from_chars(tok.data(), end, s);
-    if (ec != std::errc() || ptr != end || s < 1 || s > 1'000'000) {
+    if (!parse_whole(tok, s) || s < 1 || s > 1'000'000) {
       error = "speeds entries must be integers >= 1";
       return false;
     }

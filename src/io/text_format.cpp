@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/lines.hpp"
+#include "util/numbers.hpp"
 
 namespace ccs {
 
@@ -192,15 +193,10 @@ Topology parse_topology(const std::string& spec) {
   auto num = [&](std::size_t i) -> std::size_t {
     if (i >= args.size())
       throw fail("missing parameter for '" + kind + "'");
-    try {
-      const long long v = std::stoll(args[i]);
-      if (v < 0) throw fail("negative parameter '" + args[i] + "'");
-      return static_cast<std::size_t>(v);
-    } catch (const std::invalid_argument&) {
-      throw fail("bad number '" + args[i] + "'");
-    } catch (const std::out_of_range&) {
-      throw fail("bad number '" + args[i] + "'");
-    }
+    long long v = 0;
+    if (!parse_whole(args[i], v)) throw fail("bad number '" + args[i] + "'");
+    if (v < 0) throw fail("negative parameter '" + args[i] + "'");
+    return static_cast<std::size_t>(v);
   };
 
   // Cap the machine size before any factory runs: the all-pairs distance

@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/lines.hpp"
+#include "util/numbers.hpp"
 
 namespace ccs {
 
@@ -119,15 +120,14 @@ FaultSpec parse_fault_spec(const std::string& text,
                            delta + "'");
         continue;
       }
-      try {
-        const long long v = std::stoll(delta);
-        if (v > kMaxJitter || v < -kMaxJitter)
-          throw std::out_of_range("jitter");
-        j.delta = static_cast<int>(v);
-      } catch (const std::exception&) {
+      // The sign is checked above; the magnitude is one whole number.
+      unsigned long long magnitude = 0;
+      if (!parse_whole(std::string_view(delta).substr(1), magnitude) ||
+          magnitude > static_cast<unsigned long long>(kMaxJitter)) {
         syntax(lineno, "jitter: bad delta '" + delta + "'");
         continue;
       }
+      j.delta = static_cast<int>(magnitude) * (delta[0] == '-' ? -1 : 1);
       if (!line_exhausted(ls, problem)) {
         syntax(lineno, "jitter: " + problem);
         continue;

@@ -264,6 +264,10 @@ TEST(CliExitCodes, UsageErrorsAreTwo) {
                  "--seed", "-1"}, kDemo).code, 2);
   EXPECT_EQ(cli({"schedule", "-", "--arch", "mesh 2 2", "--speeds",
                  "1.9,2.5,1,1"}, kDemo).code, 2);
+  EXPECT_EQ(cli({"report", "--diff", "a.json", "b.json", "--threshold",
+                 "5abc"}).code, 2);
+  EXPECT_EQ(cli({"report", "--diff", "a.json", "b.json", "--threshold",
+                 "nan"}).code, 2);
 }
 
 // ------------------------------------------------------------------ budgets

@@ -499,6 +499,43 @@ TEST(GarbageCorpus, TenMegabyteLineIsRefusedByTheCap) {
 
 // parse_serve_request itself (below the service layer) must classify the
 // same hostile shapes without throwing.
+// Architecture parameters are whole numbers: "2abc" is refused by the
+// parser, the CLI (exit 1) and serve (CCS-E001), never read as 2.
+TEST(GarbageCorpus, TrailingGarbageInArchitectureNumbersIsRefused) {
+  for (const std::string spec : {"mesh 2abc 2", "mesh 2 2x", "ring 4.5",
+                                 "complete +8", "linear_array 0x8"})
+    EXPECT_THROW((void)parse_topology(spec), ParseError) << spec;
+  try {
+    (void)parse_topology("mesh 2abc 2");
+    ADD_FAILURE() << "mesh 2abc 2 parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad number '2abc'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const std::string graph = "graph g\nnode a 1\nnode b 2\nedge a b 0 1\n";
+  std::istringstream in(graph);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"schedule", "-", "--arch", "mesh 2abc 2"}, in, out, err),
+            1);
+  EXPECT_NE(err.str().find("bad number '2abc'"), std::string::npos)
+      << err.str();
+
+  std::istringstream requests(
+      "{\"op\":\"solve\",\"id\":\"a\",\"graph\":\"graph g\\nnode a 1\","
+      "\"arch\":\"mesh 2abc 2\"}\n");
+  std::ostringstream replies, log;
+  const ServeSummary summary = run_serve(requests, replies, log, {});
+  EXPECT_EQ(summary.answered, 1u);
+  EXPECT_NE(replies.str().find("\"status\":\"error\""), std::string::npos)
+      << replies.str();
+  EXPECT_NE(replies.str().find("CCS-E001"), std::string::npos)
+      << replies.str();
+  EXPECT_NE(replies.str().find("bad number '2abc'"), std::string::npos)
+      << replies.str();
+}
+
 TEST(GarbageCorpus, ServeCodecSurvivesHostileLines) {
   const std::vector<std::string> corpus = {
       "{",

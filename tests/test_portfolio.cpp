@@ -23,6 +23,7 @@
 #include "arch/comm_model.hpp"
 #include "arch/route_cache.hpp"
 #include "arch/topology.hpp"
+#include "core/list_scheduler.hpp"
 #include "engine/portfolio.hpp"
 #include "io/schedule_format.hpp"
 #include "obs/obs.hpp"
@@ -243,6 +244,94 @@ TEST(PortfolioEngine, UserStopTokenPreemptsEveryAttempt) {
     EXPECT_EQ(row.stop_reason, "preempted") << row.label;
     EXPECT_EQ(row.length, row.startup_length) << row.label;
   }
+}
+
+// Each distinct StartUpOptions is list-scheduled once and shared, which
+// must be invisible in the answer: on every library workload and paper
+// machine, at jobs 1 and 4, each attempt's start-up length is what
+// start_up_schedule gives for its own options, and the winner carries
+// exactly that table.
+TEST(PortfolioEngine, SharedStartupMatchesEachAttemptsOwnListSchedule) {
+  const std::vector<Csdfg> workloads = {
+      paper_example6(), paper_example19(),       elliptic_filter(),
+      lattice_filter(), iir_biquad_cascade(3),   fir_filter(8),
+      diffeq_solver(),  correlator(5)};
+  const std::vector<Topology> machines = {
+      make_complete(8), make_linear_array(8), make_ring(8), make_mesh(4, 2),
+      make_hypercube(3)};
+  for (const Topology& topo : machines) {
+    const StoreAndForwardModel comm(topo);
+    for (const Csdfg& g : workloads) {
+      PortfolioOptions opt;
+      opt.certify_winner = false;
+      const std::vector<AttemptConfig> roster = portfolio_attempts(g, opt);
+      for (const int jobs : {1, 4}) {
+        opt.jobs = jobs;
+        const PortfolioResult r = portfolio_compact(g, topo, comm, opt);
+        const std::string what = g.name() + " on " + topo.name() +
+                                 " jobs " + std::to_string(jobs);
+        ASSERT_EQ(r.attempts.size(), roster.size()) << what;
+        for (std::size_t i = 0; i < roster.size(); ++i)
+          EXPECT_EQ(r.attempts[i].startup_length,
+                    start_up_schedule(g, topo, comm,
+                                      roster[i].options.startup)
+                        .length())
+              << what << " attempt " << i;
+        EXPECT_EQ(serialize_schedule(g, r.winner.startup),
+                  serialize_schedule(
+                      g, start_up_schedule(
+                             g, topo, comm,
+                             roster[r.winner_attempt].options.startup)))
+            << what;
+      }
+    }
+  }
+}
+
+// The 24-attempt roster varies only the priority rule of its start-up
+// options, so a jobs=1 portfolio lists three start-up schedules: the
+// startup.* counters are those of the three rules, and the startup_done
+// events come from the lowest-indexed attempt of each rule.
+TEST(PortfolioEngine, CountsOneStartupPerDistinctPriorityRule) {
+  const Csdfg g = paper_example19();
+  const Topology topo = make_mesh(4, 2);
+  const StoreAndForwardModel comm(topo);
+  PortfolioOptions opt;
+  opt.jobs = 1;
+
+  MetricsRegistry expected;
+  for (const PriorityRule rule :
+       {PriorityRule::kCommunicationSensitive, PriorityRule::kMobilityOnly,
+        PriorityRule::kFifo}) {
+    StartUpOptions startup;
+    startup.priority = rule;
+    (void)start_up_schedule(g, topo, comm, startup, {nullptr, &expected});
+  }
+
+  VectorSink sink;
+  Tracer tracer(&sink);
+  MetricsRegistry metrics;
+  (void)portfolio_compact(g, topo, comm, opt, {&tracer, &metrics});
+  EXPECT_EQ(metrics.counter("startup.control_steps"),
+            expected.counter("startup.control_steps"));
+  EXPECT_EQ(metrics.counter("startup.candidate_slots"),
+            expected.counter("startup.candidate_slots"));
+
+  const std::vector<AttemptConfig> roster = portfolio_attempts(g, opt);
+  std::vector<std::string> owners;
+  std::set<PriorityRule> seen;
+  for (std::size_t i = 0; i < roster.size(); ++i)
+    if (seen.insert(roster[i].options.startup.priority).second)
+      owners.push_back("\"attempt\":" + std::to_string(i) + ",");
+  ASSERT_EQ(owners.size(), 3u);
+  std::vector<std::string> startup_events;
+  for (const std::string& line : sink.lines())
+    if (line.find("\"kind\":\"startup_done\"") != std::string::npos)
+      startup_events.push_back(line);
+  ASSERT_EQ(startup_events.size(), owners.size());
+  for (std::size_t k = 0; k < owners.size(); ++k)
+    EXPECT_NE(startup_events[k].find(owners[k]), std::string::npos)
+        << startup_events[k];
 }
 
 // --- Route cache ------------------------------------------------------------

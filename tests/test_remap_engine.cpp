@@ -25,6 +25,7 @@
 #include "core/validator.hpp"
 #include "remap_referee.hpp"
 #include "util/contracts.hpp"
+#include "util/error.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {
@@ -181,7 +182,7 @@ struct RefereeState {
 // The delta-update property test: the engine and the referee, driven in
 // lockstep through randomized rotate / remap / commit-or-rollback
 // sequences, agree on every observable after every operation.  Rollbacks
-// are taken on purpose mid-run so the snapshot restore path (placements,
+// are taken on purpose mid-run so the journal undo path (placements,
 // bitsets, delays, retiming, origin) is exercised, not just the happy path.
 TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
   const auto machines = paper_machines();
@@ -214,6 +215,20 @@ TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
             working.graph, working.table, &working.retiming);
         ASSERT_EQ(ra, rb) << what << " pass " << pass;
 
+        // ~1 in 6 passes is abandoned straight after the rotation, with no
+        // remap in between: the journal then holds the rotation alone.
+        if (rng.next() % 6 == 0) {
+          fast.rollback();
+          working = committed;
+          const std::string step =
+              what + " pass " + std::to_string(pass) + " rotate-only rollback";
+          expect_same_schedule(fast.table(), working.table, step);
+          expect_same_graph_delays(fast.graph(), working.graph, step);
+          EXPECT_TRUE(fast.retiming() == working.retiming) << step;
+          EXPECT_EQ(fast.length(), working.table.length()) << step;
+          continue;
+        }
+
         const std::optional<int> la =
             fast.remap(ra, previous, policy, RemapSelection::kBidirectional);
         std::optional<ScheduleTable> lb = referee::remap_rotated(
@@ -231,7 +246,7 @@ TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
         EXPECT_EQ(*la, lb->length()) << what << " pass " << pass;
         working.table = std::move(*lb);
 
-        // ~1 in 4 successful passes is discarded to stress the snapshot
+        // ~1 in 4 successful passes is discarded to stress the journal
         // restore; both sides take the same branch.
         if (rng.next() % 4 == 0) {
           fast.rollback();
@@ -362,6 +377,46 @@ TEST(RemapEngineApi, LifecycleContractsAreEnforced) {
   EXPECT_THROW((void)engine.place({}, startup.length(),
                                   RemapSelection::kBidirectional),
                ContractViolation);
+}
+
+// rotate() retimes only the edges with one endpoint in the first row, yet
+// an illegal rotation still fails atomically with the whole-graph
+// Retiming::apply message: a hand-built table puts Y in row 1 while its
+// zero-delay predecessors X and Z start later.  The lowest-id offending
+// edge is named, and the engine's views are exactly as bound.
+TEST(RemapEngineApi, IllegalRotationThrowsAndLeavesTheEngineUntouched) {
+  Csdfg g("zero-delay-row-1");
+  const NodeId x = g.add_node("X", 1);
+  const NodeId y = g.add_node("Y", 1);
+  const NodeId z = g.add_node("Z", 2);
+  g.add_edge(x, y, 0);
+  g.add_edge(z, y, 0);
+  g.add_edge(y, x, 1);
+  g.add_edge(y, z, 2);
+  const Topology mesh = make_mesh(2, 2);
+  const StoreAndForwardModel comm(mesh);
+  ScheduleTable table(g, mesh.size());
+  table.place(y, 0, 1);
+  table.place(x, 1, 2);
+  table.place(z, 2, 2);
+  table.set_length(4);
+
+  RemapEngine engine(g, comm);
+  engine.bind(table);
+  try {
+    (void)engine.rotate();
+    ADD_FAILURE() << "rotate() accepted an illegal retiming";
+  } catch (const GraphError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "illegal retiming: edge X->Y would carry delay -1");
+  }
+  expect_same_schedule(engine.table(), table, "after the failed rotate");
+  expect_same_graph_delays(engine.graph(), g, "after the failed rotate");
+  EXPECT_TRUE(engine.retiming() == Retiming(g.node_count()));
+  EXPECT_EQ(engine.length(), 4);
+  // The refusal is repeatable: nothing was half-applied.
+  EXPECT_THROW((void)engine.rotate(), GraphError);
+  expect_same_schedule(engine.table(), table, "after the second rotate");
 }
 
 // The engine's reason to exist: on the paper's 19-node workload its bitset

@@ -80,6 +80,8 @@ TEST(FaultSpec, SyntaxCorpusPinsCcsF001) {
       "jitter C\n",                      // missing delta
       "jitter C 2\n",                    // unsigned delta
       "jitter C +9999999999\n",          // delta overflow
+      "jitter C +3abc\n",                // trailing garbage in the delta
+      "jitter C +-3\n",                  // a second sign
       "explode p0\n",                    // unknown directive
   };
   for (const std::string& text : corpus) {
@@ -91,6 +93,13 @@ TEST(FaultSpec, SyntaxCorpusPinsCcsF001) {
       EXPECT_EQ(d.code, "CCS-F001") << text;
     EXPECT_TRUE(spec.empty()) << text;
   }
+  DiagnosticBag bag;
+  (void)parse_fault_spec("jitter C +3abc\n", "<bad>", bag);
+  bag.finalize();
+  ASSERT_EQ(bag.diagnostics().size(), 1u);
+  EXPECT_NE(bag.diagnostics()[0].message.find("bad delta '+3abc'"),
+            std::string::npos)
+      << bag.diagnostics()[0].message;
 }
 
 // The binding corpus pinning CCS-F002: structurally valid directives whose
