@@ -473,6 +473,7 @@ bool audit_trace(const std::string& trace_text, const std::string& file,
 
   long long expect_seq = 0;
   bool have_best = false;
+  bool resumed = false;
   long long best = 0;
   long long prev_pass_len = -1;
   // Span structure per thread tag: open-scope stack and last timestamp.
@@ -554,10 +555,17 @@ bool audit_trace(const std::string& trace_text, const std::string& file,
 
     if (kind == "pass_start") {
       long long len = 0;
-      if (e.number("length", len) && !have_best) {
-        best = len;
-        have_best = true;
+      long long pass = 1;
+      if (e.number("length", len) && !have_best && !resumed) {
         prev_pass_len = len;
+        // A portfolio attempt that resumes a shared compaction trajectory
+        // begins its stream past pass 1, after its best so far was set.
+        if (e.number("pass", pass) && pass > 1) {
+          resumed = true;
+        } else {
+          best = len;
+          have_best = true;
+        }
       }
     } else if (kind == "pass_end") {
       long long len = 0;
@@ -569,6 +577,13 @@ bool audit_trace(const std::string& trace_text, const std::string& file,
         bag.add("CCS-S013", span,
                 "pass_end event lacks length/best_length/improved fields");
         continue;
+      }
+      if (resumed && !have_best) {
+        // The best before a resumed stream is whatever this first pass
+        // claims it kept, or above the pass's length if it improved; the
+        // checks below then hold the claim to the pass.
+        best = improved ? len + 1 : claimed_best;
+        have_best = true;
       }
       if (have_best) {
         if (strict_monotone && prev_pass_len >= 0 && len > prev_pass_len) {

@@ -70,11 +70,11 @@ private:
 
 /// Cooperative external stop signal, checked at the same pass boundaries as
 /// the budget conditions.  This is how work *outside* the run preempts it:
-/// the portfolio engine's shared incumbent tells a worker its attempt can no
-/// longer win, a serving layer signals shutdown.  Implementations receive
-/// the caller's current best schedule length so they can decide with full
-/// information, and must tolerate being called from the running thread while
-/// other threads update the underlying state (the portfolio token locks).
+/// a serving layer signals shutdown (the serve drain token).
+/// Implementations receive the caller's current best schedule length so
+/// they can decide with full information, and must tolerate being called
+/// from the running thread while other threads update the underlying state
+/// (the drain token is an atomic flag).
 class BudgetStopToken {
 public:
   virtual ~BudgetStopToken() = default;
@@ -90,8 +90,8 @@ struct RunBudget {
   /// pass count still applies).
   int max_passes = 0;
   /// Wall-clock deadline in milliseconds from the start of the run
-  /// (0 = none).  Checked at pass boundaries on `clock`, or on a
-  /// SteadyBudgetClock when `clock` is null.
+  /// (0 = none); a portfolio is one run, so its attempts share one
+  /// deadline.  Checked at pass boundaries on deadline_clock().
   long long deadline_ms = 0;
   /// Stop after this many consecutive passes without improving the best
   /// length (0 = never).
@@ -102,6 +102,17 @@ struct RunBudget {
   /// Non-owning external stop signal; must outlive the run.  Null means no
   /// external preemption.  Fires the "preempted" stop reason.
   const BudgetStopToken* stop = nullptr;
+
+  /// `clock`, or the steady clock when it is null.
+  [[nodiscard]] const BudgetClock& deadline_clock() const {
+    return clock != nullptr ? *clock : steady_budget_clock();
+  }
+
+  /// The clock reading the deadline counts from, for a run starting now;
+  /// 0 without a deadline, when no clock is read.
+  [[nodiscard]] long long start_ms() const {
+    return deadline_ms > 0 ? deadline_clock().now_ms() : 0;
+  }
 
   /// True when any stop condition is configured.
   [[nodiscard]] bool active() const noexcept {

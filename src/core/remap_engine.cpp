@@ -220,15 +220,6 @@ void RemapEngine::save(FlatSchedule& out) const {
   out.length = length_;
 }
 
-ScheduleTable RemapEngine::table(const FlatSchedule& saved) const {
-  CCS_EXPECTS(bound_);
-  CCS_EXPECTS(saved.pe.size() == num_nodes_ && saved.cb.size() == num_nodes_);
-  ScheduleTable t(graph_, speeds_, pipelined_);
-  for (NodeId v = 0; v < num_nodes_; ++v) t.place(v, saved.pe[v], saved.cb[v]);
-  t.set_length(saved.length);
-  return t;
-}
-
 // ---------------------------------------------------------------------------
 // Geometry.
 // ---------------------------------------------------------------------------

@@ -85,9 +85,9 @@ struct RemapStats {
   long long an_evaluations = 0;
 };
 
-/// A complete schedule as flat per-task arrays: what a driver keeps as its
-/// best-so-far (RemapEngine::save) and materializes once at the end
-/// (RemapEngine::table(const FlatSchedule&)).
+/// A complete schedule as flat per-task arrays: what a compaction run keeps
+/// as its best-so-far (RemapEngine::save) and materializes only when read
+/// (core/cyclo_compaction.hpp).
 struct FlatSchedule {
   std::vector<PeId> pe;  ///< Processor per task.
   std::vector<int> cb;   ///< Logical (1-based) first control step per task.
@@ -179,9 +179,6 @@ class RemapEngine {
 
   /// Copies the complete working state into `out`, reusing its storage.
   void save(FlatSchedule& out) const;
-
-  /// Materializes a state saved by save() exactly as table() did then.
-  [[nodiscard]] ScheduleTable table(const FlatSchedule& saved) const;
 
  private:
   /// A cached bound fold: every placed static neighbor with the same edge

@@ -168,6 +168,14 @@ int ScheduleTable::compact_leading() {
   return removed;
 }
 
+bool ScheduleTable::operator==(const ScheduleTable& other) const {
+  // grid_ mirrors where_; its row capacity depends on the placement
+  // history, so it is not compared.
+  return num_pes_ == other.num_pes_ && pipelined_ == other.pipelined_ &&
+         times_ == other.times_ && speeds_ == other.speeds_ &&
+         where_ == other.where_ && length_ == other.length_;
+}
+
 std::vector<std::pair<NodeId, Placement>> ScheduleTable::placements() const {
   std::vector<std::pair<NodeId, Placement>> out;
   for (NodeId v = 0; v < where_.size(); ++v)

@@ -31,6 +31,8 @@ inline constexpr int kMaxScheduleLength = 1'000'000;
 struct Placement {
   PeId pe = 0;  ///< Executing processor.
   int cb = 0;   ///< First control step (1-based).
+
+  [[nodiscard]] bool operator==(const Placement&) const = default;
 };
 
 /// A (partial) static schedule of one CSDFG iteration on P processors.
@@ -139,7 +141,10 @@ public:
   /// node id.  Convenient for validators and printers.
   [[nodiscard]] std::vector<std::pair<NodeId, Placement>> placements() const;
 
-  [[nodiscard]] bool operator==(const ScheduleTable&) const = default;
+  /// Same machine (processor count, speeds, pipelining), same task times,
+  /// the same placements and the same length.  How the table got there
+  /// (placements since removed, say) does not matter.
+  [[nodiscard]] bool operator==(const ScheduleTable& other) const;
 
 private:
   std::size_t num_pes_;

@@ -4,9 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <exception>
-#include <future>
-#include <limits>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -67,43 +64,6 @@ std::string grid_label(const CycloCompactionOptions& o, int default_passes) {
      << (o.passes == default_passes ? "z=3v" : "z=v");
   return os.str();
 }
-
-/// Coordination block shared by every worker of one portfolio run.
-struct SharedState {
-  std::mutex mu;
-  int incumbent_length = std::numeric_limits<int>::max();
-  std::size_t incumbent_attempt = 0;
-};
-
-/// The winner-preserving preemption rule (see portfolio.hpp): an attempt
-/// stops early only when (a) its own best already sits on the lower bound —
-/// no further pass can improve it — or (b) a *smaller-indexed* attempt has
-/// published an incumbent at the lower bound, in which case this attempt
-/// loses every possible tie-break and its remaining passes are dead work.
-/// Any user-supplied token from the base configuration is honored as well.
-class IncumbentStopToken final : public BudgetStopToken {
-public:
-  IncumbentStopToken(SharedState& shared, int lower_bound, std::size_t attempt,
-                     const BudgetStopToken* user)
-      : shared_(shared),
-        lower_bound_(lower_bound),
-        attempt_(attempt),
-        user_(user) {}
-
-  [[nodiscard]] bool stop_requested(int current_best) const override {
-    if (user_ != nullptr && user_->stop_requested(current_best)) return true;
-    if (current_best <= lower_bound_) return true;
-    const std::scoped_lock lock(shared_.mu);
-    return shared_.incumbent_length <= lower_bound_ &&
-           shared_.incumbent_attempt < attempt_;
-  }
-
-private:
-  SharedState& shared_;
-  int lower_bound_;
-  std::size_t attempt_;
-  const BudgetStopToken* user_;
-};
 
 /// Lower-case metric suffix of a CCS-B code: "CCS-B001" -> "b001".
 std::string bound_metric_suffix(std::string_view code) {
@@ -188,126 +148,153 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
                                   const ObsContext& obs) {
   g.require_legal();
   const ObsSpan portfolio_span = obs.span("portfolio");
+  // The whole portfolio is one run: its deadline counts from here, once,
+  // for every attempt.
+  const long long origin_ms = opt.base.budget.start_ms();
 
   const std::vector<AttemptConfig> roster = portfolio_attempts(g, opt);
+  const std::size_t n = roster.size();
   // The invariant composite (analysis/bounds.hpp): sound for any schedule
   // of any legal retiming of g, which is exactly what every attempt
   // produces.  The local composite would over-prune — attempts retime.
   const CompositeBound bound = compute_bounds(g, topo, comm, opt.base);
   const int lower_bound = std::max(1, bound.value);
 
-  struct Slot {
-    std::optional<CycloCompactionResult> result;
-    std::vector<std::string> trace_lines;
-    MetricsRegistry metrics;
-    SpanProfiler profiler;
-    std::exception_ptr error;
-  };
-  std::vector<Slot> slots(roster.size());
-
-  // One start-up schedule per distinct StartUpOptions (the roster varies
-  // only the priority rule, so 3 tables serve 24 attempts): the
-  // lowest-indexed attempt using the options lists it under its own obs
-  // context and publishes it; later attempts wait for it.  Workers take
-  // attempts in index order and an owner never waits, so nothing deadlocks.
-  std::vector<std::size_t> owner(roster.size());
-  std::vector<std::promise<ScheduleTable>> published(roster.size());
-  std::vector<std::shared_future<ScheduleTable>> startups(roster.size());
-  for (std::size_t i = 0; i < roster.size(); ++i) {
-    owner[i] = i;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (roster[j].options.startup == roster[i].options.startup) {
-        owner[i] = owner[j];
-        break;
-      }
-    }
-    if (owner[i] == i) startups[i] = published[i].get_future().share();
-  }
-
-  SharedState shared;
-  std::atomic<std::size_t> next{0};
   const bool want_traces = obs.tracing();
   const bool want_metrics = obs.metrics != nullptr;
   const bool want_profile = obs.profiling();
-
-  const auto run_attempt = [&](std::size_t i) {
+  struct Slot {
+    // Each attempt records into its own tracer, registry and profiler so
+    // the hot path never contends on the caller's; merged after the join.
+    VectorSink sink;
+    Tracer tracer{&sink};
+    MetricsRegistry metrics;
+    SpanProfiler profiler;
+    ObsContext obs;
+    std::size_t table = 0;  ///< Its start-up table in `tables`.
+    std::size_t track = 0;  ///< Its trajectory in `tracks`.
+    std::optional<CompactionReading> reading;  ///< Once its read completed.
+    std::exception_ptr error;
+  };
+  std::vector<Slot> slots(n);
+  for (std::size_t i = 0; i < n; ++i) {
     Slot& slot = slots[i];
-    const bool owns_startup = owner[i] == i;
-    bool startup_published = false;
-    try {
-      CycloCompactionOptions options = roster[i].options;
-      const IncumbentStopToken token(shared, lower_bound, i,
-                                     options.budget.stop);
-      options.budget.stop = &token;
-
-      ObsContext attempt_obs;
-      if (want_metrics) attempt_obs.metrics = &slot.metrics;
-      VectorSink sink;
-      Tracer tracer(&sink);
-      if (want_traces) {
-        tracer.set_attempt(static_cast<int>(i));
-        attempt_obs.tracer = &tracer;
-      }
-      if (want_profile) {
-        // Each attempt records into its own profiler so the hot path never
-        // contends on the caller's; absorbed in attempt order after join.
-        slot.profiler.set_attempt(static_cast<int>(i));
-        attempt_obs.profiler = &slot.profiler;
-      }
-      // The attempt span must close before sink.lines() is harvested, or
-      // its span_end line would miss the attempt's trace stream.
-      std::optional<CycloCompactionResult> run;
-      {
-        const ObsSpan attempt_span = attempt_obs.span("portfolio.attempt");
-        const ObsSpan compact_span = attempt_obs.span("compact");
-        if (owns_startup) {
-          published[i].set_value(start_up_schedule(
-              g, topo, comm, options.startup, attempt_obs));
-          startup_published = true;
-        }
-        // Through a copy of its own: workers waiting on one state each
-        // hold their own shared_future, the documented race-free way.
-        const std::shared_future<ScheduleTable> startup = startups[owner[i]];
-        run.emplace(
-            cyclo_compact_from(g, startup.get(), comm, options, attempt_obs));
-      }
-      CycloCompactionResult& result = *run;
-
-      {
-        const std::scoped_lock lock(shared.mu);
-        const int length = result.best.length();
-        if (length < shared.incumbent_length ||
-            (length == shared.incumbent_length &&
-             i < shared.incumbent_attempt)) {
-          shared.incumbent_length = length;
-          shared.incumbent_attempt = i;
-        }
-      }
-      slot.result.emplace(std::move(result));
-      if (want_traces) slot.trace_lines = sink.lines();
-    } catch (...) {
-      slot.error = std::current_exception();
-      // Attempts waiting on this start-up table get the same failure.
-      if (owns_startup && !startup_published)
-        published[i].set_exception(slot.error);
+    if (want_metrics) slot.obs.metrics = &slot.metrics;
+    if (want_traces) {
+      slot.tracer.set_attempt(static_cast<int>(i));
+      slot.obs.tracer = &slot.tracer;
     }
+    if (want_profile) {
+      slot.profiler.set_attempt(static_cast<int>(i));
+      slot.obs.profiler = &slot.profiler;
+    }
+  }
+
+  // One start-up schedule per distinct StartUpOptions (the roster varies
+  // only the priority rule, so 3 tables serve 24 attempts), listed by the
+  // lowest-indexed attempt using the options under its own obs context.
+  // Rules that list equal tables share one entry.
+  std::vector<ScheduleTable> tables;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto same = std::find_if(
+        roster.begin(), roster.begin() + static_cast<std::ptrdiff_t>(i),
+        [&](const AttemptConfig& a) {
+          return a.options.startup == roster[i].options.startup;
+        });
+    if (same != roster.begin() + static_cast<std::ptrdiff_t>(i)) {
+      slots[i].table =
+          slots[static_cast<std::size_t>(same - roster.begin())].table;
+      continue;
+    }
+    ScheduleTable table = start_up_schedule(
+        g, topo, comm, roster[i].options.startup, slots[i].obs);
+    const auto equal = std::find(tables.begin(), tables.end(), table);
+    slots[i].table = static_cast<std::size_t>(equal - tables.begin());
+    if (equal == tables.end()) tables.push_back(std::move(table));
+  }
+
+  // Attempts with equal start-up tables, policy and selection make the same
+  // passes (every attempt inherits the base budget): they share one
+  // trajectory, which they read in index order, each extending it only as
+  // far as its own pass count needs.
+  struct Track {
+    std::vector<std::size_t> readers;
+    std::optional<CompactionTrajectory> run;
+  };
+  std::vector<Track> tracks;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CycloCompactionOptions& o = roster[i].options;
+    const auto same =
+        std::find_if(tracks.begin(), tracks.end(), [&](const Track& t) {
+          const std::size_t r = t.readers.front();
+          return slots[r].table == slots[i].table &&
+                 roster[r].options.policy == o.policy &&
+                 roster[r].options.selection == o.selection;
+        });
+    slots[i].track = static_cast<std::size_t>(same - tracks.begin());
+    if (same == tracks.end()) tracks.emplace_back();
+    tracks[slots[i].track].readers.push_back(i);
+  }
+  for (Track& track : tracks) {
+    std::vector<int> reads;
+    reads.reserve(track.readers.size());
+    for (const std::size_t i : track.readers)
+      reads.push_back(roster[i].options.pass_count(g));
+    const std::size_t lead = track.readers.front();
+    track.run.emplace(g, tables[slots[lead].table], comm,
+                      roster[lead].options, origin_ms, lower_bound,
+                      std::move(reads));
+  }
+
+  // The lowest-indexed attempt whose reading reached the lower bound so far
+  // (n: none).  Every later attempt loses the tie-break to it, so it stops
+  // or never starts; the rows below report it "preempted" at pass 1.
+  std::atomic<std::size_t> at_bound{n};
+  const auto read_track = [&](Track& track) {
+    std::vector<int> read_at;  // pass counts of the completed readings
+    for (const std::size_t i : track.readers) {
+      if (at_bound.load() < i) continue;
+      Slot& slot = slots[i];
+      const int passes = roster[i].options.pass_count(g);
+      try {
+        bool reached = false;
+        {
+          const ObsSpan attempt_span = slot.obs.span("portfolio.attempt");
+          const ObsSpan compact_span = slot.obs.span("compact");
+          reached = track.run->extend(passes, slot.obs,
+                                      [&] { return at_bound.load() < i; });
+        }
+        if (!reached) continue;
+        slot.reading = track.run->read(passes);
+      } catch (...) {
+        slot.error = std::current_exception();
+        return;
+      }
+      read_at.push_back(passes);
+      if (slot.reading->best_length <= lower_bound) {
+        std::size_t current = at_bound.load();
+        while (i < current && !at_bound.compare_exchange_weak(current, i)) {
+        }
+      }
+    }
+    track.run->release(read_at);
   };
 
+  // The unit of work is the trajectory: workers take them in order of their
+  // lowest-indexed reader.
+  std::atomic<std::size_t> next{0};
   const auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= roster.size()) break;
-      run_attempt(i);
-    }
+    for (std::size_t k = next.fetch_add(1); k < tracks.size();
+         k = next.fetch_add(1))
+      read_track(tracks[k]);
   };
-
   int jobs = opt.jobs;
   if (jobs <= 0) {
     jobs = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
   const std::size_t pool_size = std::min<std::size_t>(
-      static_cast<std::size_t>(jobs), roster.size());
+      static_cast<std::size_t>(jobs), tracks.size());
   if (pool_size <= 1) {
     worker();
   } else {
@@ -324,49 +311,57 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
 
   // Merge worker observability into the caller's context in attempt order,
   // so the merged stream and counters are independent of completion order.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (want_metrics) obs.metrics->merge(slots[i].metrics);
+  for (Slot& slot : slots) {
+    if (want_metrics) obs.metrics->merge(slot.metrics);
     if (want_traces)
-      for (const std::string& line : slots[i].trace_lines)
+      for (const std::string& line : slot.sink.lines())
         obs.tracer->emit_raw(line);
-    if (want_profile) obs.profiler->absorb(slots[i].profiler);
+    if (want_profile) obs.profiler->absorb(slot.profiler);
+  }
+
+  // The rows are the readings up to the first attempt at the bound; every
+  // later one reads "preempted" at pass 1, with its start-up length, however
+  // far a worker got with it.  So the rows do not depend on --jobs.
+  const std::size_t first_at_bound = at_bound.load();
+  std::vector<AttemptOutcome> attempts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    AttemptOutcome& row = attempts[i];
+    row.label = roster[i].label;
+    row.startup_length = tables[slots[i].table].length();
+    row.length = row.startup_length;
+    row.stop_reason = "preempted";
+    if (i <= first_at_bound) {
+      CCS_ASSERT(slots[i].reading.has_value());
+      const CompactionReading& reading = *slots[i].reading;
+      row.length = reading.best_length;
+      row.best_pass = reading.best_pass;
+      row.stop_reason = reading.stop_reason;
+      row.remap_slots_scanned = reading.remap_stats.slots_scanned;
+      row.an_evaluations = reading.remap_stats.an_evaluations;
+    }
+    row.pruned = row.stop_reason == "preempted";
   }
 
   // The winner: smallest best length, ties to the smallest attempt index.
   std::size_t winner_index = 0;
-  for (std::size_t i = 1; i < slots.size(); ++i) {
-    if (slots[i].result->best.length() <
-        slots[winner_index].result->best.length())
-      winner_index = i;
-  }
+  for (std::size_t i = 1; i < n; ++i)
+    if (attempts[i].length < attempts[winner_index].length) winner_index = i;
+  attempts[winner_index].winner = true;
 
-  // Provenance is harvested before the winner is moved out of its slot.
-  std::vector<AttemptOutcome> attempts;
-  attempts.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const CycloCompactionResult& run = *slots[i].result;
-    AttemptOutcome row;
-    row.label = roster[i].label;
-    row.length = run.best.length();
-    row.startup_length = run.startup.length();
-    row.best_pass = run.best_pass;
-    row.stop_reason = run.stop_reason;
-    row.pruned = run.stop_reason == "preempted";
-    row.winner = i == winner_index;
-    row.remap_slots_scanned = run.remap_stats.slots_scanned;
-    row.an_evaluations = run.remap_stats.an_evaluations;
-    attempts.push_back(std::move(row));
-  }
-  const int serial_length = slots[0].result->best.length();
-
-  PortfolioResult result{std::move(*slots[winner_index].result),
-                         0,  {}, 0, 0, {}, true, {}, {}};
-  result.winner_attempt = winner_index;
-  result.winner_label = roster[winner_index].label;
-  result.serial_length = serial_length;
-  result.lower_bound = lower_bound;
-  result.bound = bound;
-  result.attempts = std::move(attempts);
+  // Only the winner is materialized.  With a sound bound nothing after the
+  // first attempt at the bound can beat it, so the winner is a reading.
+  CCS_ASSERT(winner_index <= first_at_bound);
+  PortfolioResult result{
+      tracks[slots[winner_index].track].run->result(
+          roster[winner_index].options.pass_count(g)),
+      winner_index,
+      roster[winner_index].label,
+      attempts[0].length,
+      lower_bound,
+      bound,
+      true,
+      {},
+      std::move(attempts)};
 
   CCS_ENSURES(result.winner.best.length() <= result.serial_length);
 
@@ -377,7 +372,7 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
     result.certification.finalize();
   }
 
-  obs.count("portfolio.attempts", static_cast<long long>(slots.size()));
+  obs.count("portfolio.attempts", static_cast<long long>(n));
   long long pruned = 0;
   for (const AttemptOutcome& row : result.attempts)
     if (row.pruned) ++pruned;

@@ -362,6 +362,47 @@ TEST(CertifyTrace, BestLengthBookkeepingIsVerified) {
   EXPECT_EQ(bag.diagnostics()[0].code, "CCS-S010");
 }
 
+// A portfolio attempt that resumes a shared trajectory starts its stream
+// past pass 1.  Its best so far is set by the first pass's own claim, which
+// must still fit that pass; later claims are held to the running minimum.
+TEST(CertifyTrace, ResumedStreamTakesItsBestFromTheFirstClaim) {
+  const std::string head =
+      "{\"seq\":0,\"kind\":\"pass_start\",\"pass\":8,\"length\":7}\n";
+  const std::string clean =
+      head +
+      "{\"seq\":1,\"kind\":\"pass_end\",\"pass\":8,\"length\":7,"
+      "\"improved\":false,\"best_length\":5}\n"
+      "{\"seq\":2,\"kind\":\"pass_start\",\"pass\":9,\"length\":7}\n"
+      "{\"seq\":3,\"kind\":\"pass_end\",\"pass\":9,\"length\":4,"
+      "\"improved\":true,\"best_length\":4}\n";
+  DiagnosticBag ok;
+  EXPECT_TRUE(audit_trace(clean, "<trace>", false, ok)) << render_text(ok);
+
+  for (const std::string& bad :
+       {// A kept best above the pass's own length.
+        head +
+            "{\"seq\":1,\"kind\":\"pass_end\",\"pass\":8,\"length\":7,"
+            "\"improved\":false,\"best_length\":9}\n",
+        // An improving pass that claims another best.
+        head +
+            "{\"seq\":1,\"kind\":\"pass_end\",\"pass\":8,\"length\":6,"
+            "\"improved\":true,\"best_length\":5}\n",
+        // A later claim below the running minimum.
+        head +
+            "{\"seq\":1,\"kind\":\"pass_end\",\"pass\":8,\"length\":7,"
+            "\"improved\":false,\"best_length\":5}\n"
+            "{\"seq\":2,\"kind\":\"pass_start\",\"pass\":9,"
+            "\"length\":7}\n"
+            "{\"seq\":3,\"kind\":\"pass_end\",\"pass\":9,\"length\":6,"
+            "\"improved\":false,\"best_length\":4}\n"}) {
+    DiagnosticBag bag;
+    EXPECT_FALSE(audit_trace(bad, "<trace>", false, bag)) << bad;
+    bag.finalize();
+    ASSERT_EQ(bag.size(), 1u) << render_text(bag);
+    EXPECT_EQ(bag.diagnostics()[0].code, "CCS-S010");
+  }
+}
+
 TEST(CertifyTrace, StrictPolicyRejectsGrowth) {
   const std::string trace =
       "{\"seq\":0,\"kind\":\"pass_start\",\"pass\":1,\"length\":5}\n"

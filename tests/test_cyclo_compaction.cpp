@@ -2,11 +2,15 @@
 // (Section 4), including the paper's walkthrough and Theorem 4.4.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/cyclo_compaction.hpp"
 #include "core/iteration_bound.hpp"
 #include "core/validator.hpp"
+#include "io/text_format.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {
@@ -206,6 +210,145 @@ TEST_F(CycloTest, PipelinedPesCompactAtLeastAsWell) {
   const auto a = cyclo_compact(g_, mesh_, comm_, plain);
   const auto b = cyclo_compact(g_, mesh_, comm_, piped);
   EXPECT_LE(b.best_length(), a.best_length());
+}
+
+// --- Trajectories ----------------------------------------------------------
+
+void expect_same_run(const CycloCompactionResult& got,
+                     const CycloCompactionResult& want,
+                     const std::string& what) {
+  EXPECT_TRUE(got.best == want.best) << what;
+  EXPECT_TRUE(got.startup == want.startup) << what;
+  EXPECT_EQ(got.retiming, want.retiming) << what;
+  EXPECT_EQ(serialize_csdfg(got.retimed_graph),
+            serialize_csdfg(want.retimed_graph))
+      << what;
+  EXPECT_EQ(got.length_trace, want.length_trace) << what;
+  EXPECT_EQ(got.best_pass, want.best_pass) << what;
+  EXPECT_EQ(got.stop_reason, want.stop_reason) << what;
+  EXPECT_EQ(got.remap_stats.slots_scanned, want.remap_stats.slots_scanned)
+      << what;
+  EXPECT_EQ(got.remap_stats.an_evaluations, want.remap_stats.an_evaluations)
+      << what;
+}
+
+// A run of z passes is the first z passes of a longer run: a trajectory run
+// to 3|V| and read at z gives exactly what a run configured for z passes
+// gives — the best table, retiming, trace, stop reason and remap totals —
+// under either policy and selection, with and without a budget that ends
+// the run part way.
+TEST_F(CycloTest, TrajectoryReadingsArePrefixesOfLongerRuns) {
+  const Topology mesh42 = make_mesh(4, 2);
+  const StoreAndForwardModel comm42(mesh42);
+  for (const Csdfg& g : {paper_example6(), paper_example19(),
+                         lattice_filter(), diffeq_solver()}) {
+    const int v = static_cast<int>(g.node_count());
+    const std::vector<int> reads = {1, 2, v, 2 * v, 3 * v};
+    const ScheduleTable startup = start_up_schedule(g, mesh42, comm42);
+    for (const auto policy :
+         {RemapPolicy::kWithRelaxation, RemapPolicy::kWithoutRelaxation}) {
+      for (const auto selection : {RemapSelection::kBidirectional,
+                                   RemapSelection::kAnticipationOnly}) {
+        for (const int budget : {0, 1, 2}) {
+          CycloCompactionOptions opt;
+          opt.policy = policy;
+          opt.selection = selection;
+          if (budget == 1) opt.budget.patience = 2;
+          if (budget == 2) opt.budget.max_passes = v + 1;
+          CompactionTrajectory run(g, startup, comm42, opt, 0, 0, reads);
+          EXPECT_TRUE(run.extend(3 * v, {}));
+          for (const int z : reads) {
+            opt.passes = z;
+            const std::string what = g.name() + " z=" + std::to_string(z) +
+                                     " budget " + std::to_string(budget);
+            const CycloCompactionResult want =
+                cyclo_compact_from(g, startup, comm42, opt);
+            expect_same_run(run.result(z), want, what);
+            const CompactionReading reading = run.read(z);
+            EXPECT_EQ(reading.best_length, want.best_length()) << what;
+            EXPECT_EQ(reading.best_pass, want.best_pass) << what;
+            EXPECT_EQ(reading.stop_reason, want.stop_reason) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Extending a trajectory step by step runs the same passes as one run, and
+// the obs context of each step sees only the passes that step ran.
+TEST_F(CycloTest, TrajectoryResumesWhereItStopped) {
+  const Csdfg g = paper_example19();
+  const int passes = 3 * static_cast<int>(g.node_count());
+  const ScheduleTable startup = start_up_schedule(g, mesh_, comm_);
+  MetricsRegistry once;
+  const CycloCompactionResult want =
+      cyclo_compact_from(g, startup, comm_, {}, {nullptr, &once});
+  CompactionTrajectory run(g, startup, comm_, {}, 0, 0, {passes});
+  MetricsRegistry total;
+  for (int step = 7; step < passes + 7; step += 7) {
+    MetricsRegistry part;
+    EXPECT_TRUE(run.extend(std::min(step, passes), {nullptr, &part}));
+    EXPECT_LE(part.counter("compaction.passes"), 7);
+    total.merge(part);
+  }
+  expect_same_run(run.result(passes), want, "resumed");
+  EXPECT_EQ(total.counter("compaction.passes"),
+            once.counter("compaction.passes"));
+  EXPECT_EQ(total.counter("remap.slots_scanned"),
+            once.counter("remap.slots_scanned"));
+}
+
+// `yield` stops only the call it is given to: the trajectory stays
+// resumable, and a later call runs the passes as if nothing had happened.
+TEST_F(CycloTest, TrajectoryYieldStopsOnlyTheCall) {
+  const Csdfg g = paper_example19();
+  const int passes = 3 * static_cast<int>(g.node_count());
+  const ScheduleTable startup = start_up_schedule(g, mesh_, comm_);
+  CompactionTrajectory run(g, startup, comm_, {}, 0, 0, {passes});
+  VectorSink sink;
+  Tracer tracer(&sink);
+  int boundaries = 0;
+  EXPECT_FALSE(run.extend(passes, {&tracer, nullptr},
+                          [&] { return ++boundaries > 3; }));
+  ASSERT_FALSE(sink.lines().empty());
+  EXPECT_NE(sink.lines().back().find("\"reason\":\"preempted\""),
+            std::string::npos);
+  EXPECT_TRUE(run.extend(passes, {}));
+  expect_same_run(run.result(passes),
+                  cyclo_compact_from(g, startup, comm_, {}), "yielded");
+}
+
+// The floor ends the run for every reading past the pass that reached it.
+TEST_F(CycloTest, TrajectoryStopsAtItsFloor) {
+  const Csdfg g = paper_example19();
+  const int passes = 3 * static_cast<int>(g.node_count());
+  const ScheduleTable startup = start_up_schedule(g, mesh_, comm_);
+  const CycloCompactionResult full = cyclo_compact_from(g, startup, comm_, {});
+  ASSERT_GT(full.best_pass, 0);
+  CompactionTrajectory run(g, startup, comm_, {}, 0, full.best_length(),
+                           {full.best_pass, passes});
+  EXPECT_TRUE(run.extend(passes, {}));
+  EXPECT_EQ(run.read(full.best_pass).stop_reason, "");
+  const CycloCompactionResult stopped = run.result(passes);
+  EXPECT_EQ(stopped.stop_reason, "preempted");
+  EXPECT_EQ(stopped.length_trace.size(),
+            static_cast<std::size_t>(full.best_pass));
+  EXPECT_TRUE(stopped.best == full.best);
+}
+
+// After release() the readings it was asked to keep still materialize.
+TEST_F(CycloTest, ReleasedTrajectoryKeepsTheReadingsAsked) {
+  const Csdfg g = paper_example19();
+  const int v = static_cast<int>(g.node_count());
+  const ScheduleTable startup = start_up_schedule(g, mesh_, comm_);
+  CompactionTrajectory run(g, startup, comm_, {}, 0, 0, {v, 3 * v});
+  EXPECT_TRUE(run.extend(3 * v, {}));
+  const CycloCompactionResult before = run.result(v);
+  run.release({v});
+  expect_same_run(run.result(v), before, "released");
+  EXPECT_EQ(run.read(3 * v).best_pass,
+            cyclo_compact_from(g, startup, comm_, {}).best_pass);
 }
 
 }  // namespace

@@ -16,17 +16,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "analysis/certify.hpp"
 #include "arch/comm_model.hpp"
 #include "arch/route_cache.hpp"
 #include "arch/topology.hpp"
 #include "core/list_scheduler.hpp"
 #include "engine/portfolio.hpp"
 #include "io/schedule_format.hpp"
+#include "io/text_format.hpp"
 #include "obs/obs.hpp"
+#include "portfolio_referee.hpp"
 #include "util/error.hpp"
 #include "workloads/library.hpp"
 
@@ -332,6 +338,277 @@ TEST(PortfolioEngine, CountsOneStartupPerDistinctPriorityRule) {
   for (std::size_t k = 0; k < owners.size(); ++k)
     EXPECT_NE(startup_events[k].find(owners[k]), std::string::npos)
         << startup_events[k];
+}
+
+// --- Shared trajectories ---------------------------------------------------
+
+const std::vector<Csdfg>& library_workloads() {
+  static const std::vector<Csdfg> workloads = {
+      paper_example6(), paper_example19(),     elliptic_filter(),
+      lattice_filter(), iir_biquad_cascade(3), fir_filter(8),
+      diffeq_solver(),  correlator(5)};
+  return workloads;
+}
+
+const std::vector<Topology>& paper_machines() {
+  static const std::vector<Topology> machines = {
+      make_complete(8), make_linear_array(8), make_ring(8), make_mesh(4, 2),
+      make_hypercube(3)};
+  return machines;
+}
+
+/// Every AttemptOutcome field of every row, one line per row.
+std::vector<std::string> row_lines(const PortfolioResult& r) {
+  std::vector<std::string> lines;
+  for (const AttemptOutcome& row : r.attempts) {
+    std::ostringstream os;
+    os << row.label << " length " << row.length << " startup "
+       << row.startup_length << " pass " << row.best_pass << " stop '"
+       << row.stop_reason << "' pruned " << row.pruned << " winner "
+       << row.winner << " slots " << row.remap_slots_scanned << " an "
+       << row.an_evaluations;
+    lines.push_back(os.str());
+  }
+  return lines;
+}
+
+void expect_same_answer(const PortfolioResult& got,
+                        const PortfolioResult& want, const std::string& what) {
+  EXPECT_EQ(row_lines(got), row_lines(want)) << what;
+  EXPECT_EQ(got.winner_attempt, want.winner_attempt) << what;
+  EXPECT_EQ(got.winner_label, want.winner_label) << what;
+  EXPECT_EQ(got.serial_length, want.serial_length) << what;
+  EXPECT_EQ(got.lower_bound, want.lower_bound) << what;
+  const CycloCompactionResult& a = got.winner;
+  const CycloCompactionResult& b = want.winner;
+  EXPECT_TRUE(a.best == b.best) << what;
+  EXPECT_TRUE(a.startup == b.startup) << what;
+  EXPECT_EQ(a.retiming, b.retiming) << what;
+  EXPECT_EQ(serialize_csdfg(a.retimed_graph), serialize_csdfg(b.retimed_graph))
+      << what;
+  EXPECT_EQ(winner_fingerprint(got), winner_fingerprint(want)) << what;
+  EXPECT_EQ(a.length_trace, b.length_trace) << what;
+  EXPECT_EQ(a.best_pass, b.best_pass) << what;
+  EXPECT_EQ(a.stop_reason, b.stop_reason) << what;
+  EXPECT_EQ(a.remap_stats.slots_scanned, b.remap_stats.slots_scanned) << what;
+  EXPECT_EQ(a.remap_stats.an_evaluations, b.remap_stats.an_evaluations)
+      << what;
+}
+
+// Attempts that share a start-up table, policy and selection read one
+// compaction trajectory at their own pass counts.  That must be invisible in
+// the answer: on every library workload and paper machine, for the grid and
+// for a seed-perturbed tail, at jobs 1 and 4, every row and the winner equal
+// what running each attempt on its own under the incumbent rule gives.  A
+// short base pass count makes the tail resume trajectories the grid began.
+TEST(PortfolioTrajectories, RowsAndWinnerMatchTheAttemptByAttemptReferee) {
+  const struct {
+    int attempts;
+    int base_passes;
+  } rosters[] = {{24, 0}, {64, 0}, {40, 5}};
+  for (const Topology& topo : paper_machines()) {
+    const StoreAndForwardModel comm(topo);
+    for (const Csdfg& g : library_workloads()) {
+      for (const auto& roster : rosters) {
+        PortfolioOptions opt;
+        opt.certify_winner = false;
+        opt.attempts = roster.attempts;
+        opt.base.passes = roster.base_passes;
+        opt.seed = 11;
+        const PortfolioResult want =
+            referee::portfolio_compact(g, topo, comm, opt);
+        for (const int jobs : {1, 4}) {
+          opt.jobs = jobs;
+          expect_same_answer(
+              portfolio_compact(g, topo, comm, opt), want,
+              g.name() + " on " + topo.name() + ", " +
+                  std::to_string(roster.attempts) + " attempts, base z=" +
+                  std::to_string(roster.base_passes) + ", jobs " +
+                  std::to_string(jobs));
+        }
+      }
+    }
+  }
+}
+
+// The rows no longer depend on which worker got how far: the first attempt
+// at the lower bound fixes every later row to "preempted" at pass 1.
+TEST(PortfolioTrajectories, RowsAreIdenticalAcrossJobs) {
+  const Topology machines[] = {make_mesh(2, 2), make_ring(8)};
+  for (const Topology& topo : machines) {
+    const StoreAndForwardModel comm(topo);
+    for (const Csdfg& g : library_workloads()) {
+      for (const RemapPolicy policy :
+           {RemapPolicy::kWithRelaxation, RemapPolicy::kWithoutRelaxation}) {
+        PortfolioOptions opt;
+        opt.certify_winner = false;
+        opt.attempts = 40;
+        opt.seed = 3;
+        opt.base.policy = policy;
+        opt.jobs = 1;
+        const PortfolioResult serial = portfolio_compact(g, topo, comm, opt);
+        for (const int jobs : {4, 8}) {
+          opt.jobs = jobs;
+          expect_same_answer(portfolio_compact(g, topo, comm, opt), serial,
+                             g.name() + " on " + topo.name() + " jobs " +
+                                 std::to_string(jobs));
+        }
+      }
+    }
+  }
+}
+
+// Work counters count the passes that ran: at jobs 1 on the default roster,
+// once per distinct (start-up table, policy, selection, pass).  Up to the
+// first attempt at the bound, each group of attempts runs as far as the
+// furthest of them; running every attempt on its own repeats those passes.
+TEST(PortfolioTrajectories, EachDistinctPassRunsOnce) {
+  class AtBound final : public BudgetStopToken {
+   public:
+    explicit AtBound(int bound) : bound_(bound) {}
+    [[nodiscard]] bool stop_requested(int best) const override {
+      return best <= bound_;
+    }
+
+   private:
+    int bound_;
+  };
+  const Topology topo = make_mesh(4, 2);
+  const StoreAndForwardModel comm(topo);
+  long long all_distinct = 0;
+  long long all_attempts = 0;
+  for (const Csdfg& g : library_workloads()) {
+    PortfolioOptions opt;
+    opt.jobs = 1;
+    opt.certify_winner = false;
+    const std::vector<AttemptConfig> roster = portfolio_attempts(g, opt);
+    const int bound =
+        std::max(1, compute_bounds(g, topo, comm, opt.base).value);
+    const AtBound at_bound(bound);
+
+    struct Group {
+      ScheduleTable table;
+      RemapPolicy policy;
+      RemapSelection selection;
+      std::size_t passes = 0;
+    };
+    std::vector<Group> groups;
+    for (const AttemptConfig& attempt : roster) {
+      CycloCompactionOptions o = attempt.options;
+      o.budget.stop = &at_bound;
+      const CycloCompactionResult run = cyclo_compact(g, topo, comm, o);
+      auto group =
+          std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
+            return x.table == run.startup && x.policy == o.policy &&
+                   x.selection == o.selection;
+          });
+      if (group == groups.end()) {
+        groups.push_back({run.startup, o.policy, o.selection, 0});
+        group = groups.end() - 1;
+      }
+      group->passes = std::max(group->passes, run.length_trace.size());
+      all_attempts += static_cast<long long>(run.length_trace.size());
+      if (run.best.length() <= bound) break;
+    }
+    long long distinct = 0;
+    for (const Group& group : groups)
+      distinct += static_cast<long long>(group.passes);
+    all_distinct += distinct;
+
+    MetricsRegistry metrics;
+    (void)portfolio_compact(g, topo, comm, opt, {nullptr, &metrics});
+    EXPECT_EQ(metrics.counter("compaction.passes"), distinct) << g.name();
+  }
+  EXPECT_LT(all_distinct, all_attempts);
+}
+
+// With a short base pass count the seed tail asks for more passes than the
+// grid ran, so those attempts resume a trajectory and their streams start
+// past pass 1.  Each attempt's stream still passes the trace audit.
+TEST(PortfolioTrajectories, ResumedAttemptStreamsAuditClean) {
+  const Topology topo = make_mesh(2, 2);
+  const StoreAndForwardModel comm(topo);
+  std::size_t resumed = 0;
+  for (const Csdfg& g : library_workloads()) {
+    PortfolioOptions opt;
+    opt.certify_winner = false;
+    opt.attempts = 48;
+    opt.seed = 5;
+    opt.base.passes = 5;
+    VectorSink sink;
+    Tracer tracer(&sink);
+    (void)portfolio_compact(g, topo, comm, opt, {&tracer, nullptr});
+    std::map<long long, std::string> by_attempt;
+    for (const std::string& line : sink.lines()) {
+      const std::string needle = "\"attempt\":";
+      const auto pos = line.find(needle);
+      ASSERT_NE(pos, std::string::npos) << line;
+      by_attempt[std::stoll(line.substr(pos + needle.size()))] += line + "\n";
+    }
+    for (const auto& [attempt, text] : by_attempt) {
+      const auto first = text.find("\"kind\":\"pass_start\"");
+      if (first != std::string::npos &&
+          text.find("\"pass\":1,", first) != text.find("\"pass\":", first))
+        ++resumed;
+      DiagnosticBag bag;
+      EXPECT_TRUE(audit_trace(text, "<attempt>", false, bag))
+          << g.name() << " attempt " << attempt << '\n'
+          << render_text(bag);
+    }
+  }
+  EXPECT_GT(resumed, 0u);
+}
+
+/// A clock that advances 1 ms on every reading, safe to read from several
+/// workers at once.
+class TickingClock final : public BudgetClock {
+ public:
+  [[nodiscard]] long long now_ms() const override { return ++now_; }
+  [[nodiscard]] long long readings() const { return now_.load(); }
+
+ private:
+  mutable std::atomic<long long> now_{0};
+};
+
+// A deadline bounds the portfolio, not each attempt: the clock starts once,
+// when the portfolio does, so the attempts share deadline_ms between them
+// instead of each getting all of it.
+TEST(PortfolioTrajectories, DeadlineBoundsThePortfolioNotEachAttempt) {
+  const Csdfg g = paper_example19();
+  const Topology topo = make_mesh(4, 2);
+  const StoreAndForwardModel comm(topo);
+  constexpr long long kDeadlineMs = 5;
+  for (const int jobs : {1, 4}) {
+    const TickingClock clock;
+    PortfolioOptions opt;
+    opt.jobs = jobs;
+    opt.certify_winner = false;
+    opt.base.budget.deadline_ms = kDeadlineMs;
+    opt.base.budget.clock = &clock;
+    MetricsRegistry metrics;
+    const PortfolioResult r =
+        portfolio_compact(g, topo, comm, opt, {nullptr, &metrics});
+    const std::string what = "jobs " + std::to_string(jobs);
+    // Each pass boundary reads the clock once, after the portfolio's own
+    // reading: only the first deadline_ms - 1 boundaries can start a pass.
+    EXPECT_LE(metrics.counter("compaction.passes"), kDeadlineMs - 1) << what;
+    EXPECT_LE(clock.readings(),
+              1 + kDeadlineMs + static_cast<long long>(r.attempts.size()))
+        << what;
+    // Nothing reaches the bound in four passes here, so every attempt that
+    // did not finish its own passes reads "deadline"; a strict attempt may
+    // have finished by rolling back first.
+    for (std::size_t i = 0; i < r.attempts.size(); ++i) {
+      const AttemptOutcome& row = r.attempts[i];
+      if (row.stop_reason.empty()) {
+        EXPECT_NE(row.label.find("strict"), std::string::npos)
+            << what << " attempt " << i;
+      } else {
+        EXPECT_EQ(row.stop_reason, "deadline") << what << " attempt " << i;
+      }
+    }
+    EXPECT_EQ(r.attempts[0].stop_reason, "deadline") << what;
+  }
 }
 
 // --- Route cache ------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Unit tests for the schedule table data structure.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/schedule.hpp"
 #include "util/contracts.hpp"
 #include "workloads/library.hpp"
@@ -153,6 +155,44 @@ TEST_F(ScheduleTableTest, TimeAccessorsMatchGraph) {
   EXPECT_EQ(t.time(F_), 1);
   EXPECT_EQ(t.node_count(), 6u);
   EXPECT_EQ(t.num_pes(), 2u);
+}
+
+// Equality is about the schedule, not how the table was built: the same
+// placements, length, machine and task times compare equal; a different
+// placement, length or set of PE speeds does not.
+TEST_F(ScheduleTableTest, EqualityComparesTheSchedule) {
+  ScheduleTable a(g_, 2);
+  a.place(A_, 0, 1);
+  a.place(B_, 1, 1);
+  ScheduleTable b(g_, 2);
+  b.place(B_, 1, 1);
+  b.place(E_, 0, 5);  // grows b's rows, then leaves again
+  b.remove(E_);
+  b.set_length(2);
+  b.place(A_, 0, 1);
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a == ScheduleTable(a));
+
+  ScheduleTable swapped(g_, 2);
+  swapped.place(A_, 1, 1);
+  swapped.place(B_, 0, 1);
+  EXPECT_EQ(swapped.length(), a.length());
+  EXPECT_FALSE(swapped == a);  // other PEs, same steps and length
+  ScheduleTable later(g_, 2);
+  later.place(A_, 0, 2);
+  later.place(B_, 1, 1);
+  EXPECT_EQ(later.length(), a.length());
+  EXPECT_FALSE(later == a);  // same PEs, another step
+
+  ScheduleTable longer = a;
+  longer.set_length(3);
+  EXPECT_FALSE(longer == a);
+
+  ScheduleTable slow(g_, std::vector<int>{1, 2});
+  slow.place(A_, 1, 1);  // A runs two steps on the slow PE
+  slow.place(B_, 0, 1);
+  EXPECT_EQ(slow.length(), swapped.length());
+  EXPECT_FALSE(slow == swapped);
 }
 
 }  // namespace
