@@ -190,7 +190,8 @@ void BM_CanonicalizeSymmetricFanOut(benchmark::State& state) {
   Csdfg g("fanout");
   const NodeId src = g.add_node("src", 1);
   for (int i = 0; i < leaves; ++i) {
-    const NodeId leaf = g.add_node("f" + std::to_string(i), 2);
+    const NodeId leaf =
+        g.add_node(std::string("f").append(std::to_string(i)), 2);
     g.add_edge(src, leaf, 0, 1);
   }
   CanonResult last;

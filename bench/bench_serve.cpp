@@ -69,13 +69,17 @@ std::string mixed_corpus(int lines) {
   std::string input;
   for (int i = 0; i < lines; ++i) {
     switch (i % 4) {
-      case 0: input += solve_line("s" + std::to_string(i)); break;
+      case 0:
+        input += solve_line(std::string("s").append(std::to_string(i)));
+        break;
       case 1:
-        input += solve_line("d" + std::to_string(i), ",\"deadline_ms\":40");
+        input += solve_line(std::string("d").append(std::to_string(i)),
+                            ",\"deadline_ms\":40");
         break;
       case 2: input += "this line is not json\n"; break;
       default:
-        input += solve_line("x" + std::to_string(i), ",\"deadline_ms\":-1");
+        input += solve_line(std::string("x").append(std::to_string(i)),
+                            ",\"deadline_ms\":-1");
         break;
     }
   }
@@ -109,7 +113,7 @@ void print_quality_gate() {
   constexpr int kWarm = 64;
   std::string warm_input;
   for (int i = 0; i < kWarm; ++i)
-    warm_input += solve_line("h" + std::to_string(i));
+    warm_input += solve_line(std::string("h").append(std::to_string(i)));
   ServeOptions warm_opts;  // jobs=1: pure fast-path latency
   warm_opts.queue_depth = kWarm;  // the reader outpaces one worker: no shed
   const auto t0 = std::chrono::steady_clock::now();
@@ -131,7 +135,8 @@ void print_quality_gate() {
   shed_opts.queue_depth = 1;
   std::string burst = "{\"op\":\"sleep\",\"sleep_ms\":120}\n";
   constexpr int kBurst = 16;
-  for (int i = 0; i < kBurst; ++i) burst += solve_line("b" + std::to_string(i));
+  for (int i = 0; i < kBurst; ++i)
+    burst += solve_line(std::string("b").append(std::to_string(i)));
   const RunResult shed = serve_all(burst, shed_opts);
   const double shed_rate =
       static_cast<double>(shed.summary.shed) / (kBurst + 1);
@@ -179,7 +184,7 @@ void BM_ServeCacheHitStream(benchmark::State& state) {
   constexpr int kLines = 64;
   std::string input;
   for (int i = 0; i < kLines; ++i)
-    input += solve_line("h" + std::to_string(i));
+    input += solve_line(std::string("h").append(std::to_string(i)));
   ServeOptions opts;  // jobs=1: latency, not parallelism
   opts.queue_depth = kLines;  // hold the whole stream: no admission shed
   ServeSummary last;
@@ -206,7 +211,7 @@ void BM_ServeSaturationShed(benchmark::State& state) {
   constexpr int kBurst = 16;
   std::string input = "{\"op\":\"sleep\",\"sleep_ms\":50}\n";
   for (int i = 0; i < kBurst; ++i)
-    input += solve_line("b" + std::to_string(i));
+    input += solve_line(std::string("b").append(std::to_string(i)));
   ServeOptions opts;
   opts.queue_depth = 1;
   ServeSummary last;

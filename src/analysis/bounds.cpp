@@ -32,9 +32,7 @@
 #include <numeric>
 #include <sstream>
 
-#include "core/critical_cycle.hpp"
 #include "core/graph_algo.hpp"
-#include "core/iteration_bound.hpp"
 #include "core/retiming.hpp"
 #include "obs/span.hpp"
 #include "util/contracts.hpp"
@@ -146,8 +144,10 @@ public:
   }
 
   [[nodiscard]] std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& /*machine*/) const override {
-    const CycleWitness cyc = critical_cycle(g);
+      const GraphFacts& facts,
+      const BoundMachine& /*machine*/) const override {
+    const Csdfg& g = facts.graph();
+    const CycleWitness& cyc = facts.critical_cycle();
     if (cyc.edges.empty()) return std::nullopt;
     BoundResult r;
     r.code = rule().code;
@@ -191,7 +191,8 @@ public:
   }
 
   [[nodiscard]] std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& machine) const override {
+      const GraphFacts& facts, const BoundMachine& machine) const override {
+    const Csdfg& g = facts.graph();
     if (g.node_count() == 0) return std::nullopt;
     const long long s_min = machine.min_speed();
     long long longest = 0;
@@ -236,7 +237,8 @@ public:
   }
 
   [[nodiscard]] std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& machine) const override {
+      const GraphFacts& facts, const BoundMachine& machine) const override {
+    const Csdfg& g = facts.graph();
     if (!machine.pipelined || g.node_count() == 0) return std::nullopt;
     const long long n = static_cast<long long>(g.node_count());
     const long long p = static_cast<long long>(machine.num_pes);
@@ -286,11 +288,11 @@ public:
   }
 
   [[nodiscard]] std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& machine) const override {
-    const CycleWitness cyc = critical_cycle(g);
+      const GraphFacts& facts, const BoundMachine& machine) const override {
+    const CycleWitness& cyc = facts.critical_cycle();
     if (cyc.edges.empty()) return std::nullopt;
     MinCostCache costs(machine.comm, machine.num_pes);
-    return derive(g, machine, cyc.edges, costs);
+    return derive(facts.graph(), machine, cyc.edges, costs);
   }
 
   [[nodiscard]] bool reverify(const Csdfg& g, const BoundMachine& machine,
@@ -369,7 +371,8 @@ public:
   }
 
   [[nodiscard]] std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& machine) const override {
+      const GraphFacts& facts, const BoundMachine& machine) const override {
+    const Csdfg& g = facts.graph();
     if (machine.comm == nullptr || machine.num_pes < 2 ||
         g.node_count() < 2 || !weakly_connected(g))
       return std::nullopt;
@@ -456,9 +459,9 @@ public:
   }
 
   [[nodiscard]] std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& machine) const override {
-    if (g.node_count() == 0) return std::nullopt;
-    const long long phi = min_period_retiming(g).period;
+      const GraphFacts& facts, const BoundMachine& machine) const override {
+    if (facts.graph().node_count() == 0) return std::nullopt;
+    const long long phi = facts.min_period();
     const long long s_min = machine.min_speed();
     BoundResult r;
     r.code = rule().code;
@@ -498,13 +501,14 @@ int BoundMachine::min_speed() const {
 
 BoundMachine machine_view(const Topology& topo, const CommModel& comm,
                           const CycloCompactionOptions& options) {
-  BoundMachine m;
-  m.num_pes = topo.size();
-  m.speeds = options.startup.pe_speeds;
-  m.pipelined = options.startup.pipelined_pes;
-  m.comm = &comm;
-  CCS_EXPECTS(m.speeds.empty() || m.speeds.size() == m.num_pes);
-  return m;
+  const StartUpOptions& startup = options.startup;
+  CCS_EXPECTS(startup.pe_speeds.empty() ||
+              startup.pe_speeds.size() == topo.size());
+  return {topo.size(), startup.pe_speeds, startup.pipelined_pes, &comm};
+}
+
+BoundMachine machine_view(const ScheduleTable& table, const CommModel& comm) {
+  return {table.num_pes(), table.pe_speeds(), table.pipelined_pes(), &comm};
 }
 
 const std::vector<const BoundPass*>& bound_passes() {
@@ -521,15 +525,16 @@ const BoundResult* CompositeBound::part(std::string_view code) const {
   return nullptr;
 }
 
-CompositeBound compute_bounds(const Csdfg& g, const BoundMachine& machine) {
+CompositeBound compute_bounds(const GraphFacts& facts,
+                              const BoundMachine& machine) {
   // No ObsContext parameter: the span rides the process-global profiler
   // hook, like the certifier's phases.
   const ObsSpan span(SpanProfiler::process(), "bounds");
   CCS_EXPECTS(machine.num_pes >= 1);
-  g.require_legal();
+  facts.graph().require_legal();
   CompositeBound out;
   for (const BoundPass* pass : bound_passes()) {
-    std::optional<BoundResult> r = pass->run(g, machine);
+    std::optional<BoundResult> r = pass->run(facts, machine);
     if (!r) continue;
     if (r->invariant && r->value > out.value) {
       out.value = r->value;
@@ -548,10 +553,10 @@ CompositeBound compute_bounds(const Csdfg& g, const BoundMachine& machine) {
   return out;
 }
 
-CompositeBound compute_bounds(const Csdfg& g, const Topology& topo,
+CompositeBound compute_bounds(const GraphFacts& facts, const Topology& topo,
                               const CommModel& comm,
                               const CycloCompactionOptions& options) {
-  return compute_bounds(g, machine_view(topo, comm, options));
+  return compute_bounds(facts, machine_view(topo, comm, options));
 }
 
 void report_bounds(const CompositeBound& composite, const SourceSpan& span,

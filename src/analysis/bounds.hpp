@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "analysis/graph_facts.hpp"
 #include "analysis/rules.hpp"
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
@@ -84,6 +85,10 @@ struct BoundMachine {
                                         const CommModel& comm,
                                         const CycloCompactionOptions& options);
 
+/// The machine `table` was built for, priced by `comm`.
+[[nodiscard]] BoundMachine machine_view(const ScheduleTable& table,
+                                        const CommModel& comm);
+
 /// One pass's result: a proven lower bound with its derivation.
 struct BoundResult {
   /// Catalogue code ("CCS-B001", ...).
@@ -112,15 +117,16 @@ public:
   /// The catalogue entry this pass reports under.
   [[nodiscard]] virtual const LintRule& rule() const = 0;
 
-  /// Computes the bound, or nullopt when the pass does not apply (acyclic
-  /// graph for the cycle passes, non-pipelined machine for CCS-B003, no
-  /// comm model for the communication passes, ...).
+  /// Computes the bound over `facts.graph()`, or nullopt when the pass
+  /// does not apply (acyclic graph for the cycle passes, non-pipelined
+  /// machine for CCS-B003, no comm model for the communication passes).
   [[nodiscard]] virtual std::optional<BoundResult> run(
-      const Csdfg& g, const BoundMachine& machine) const = 0;
+      const GraphFacts& facts, const BoundMachine& machine) const = 0;
 
   /// Re-derives `result.value` from its own witness payload against the
   /// same graph and machine; false means the witness does not support the
-  /// claimed value (a first-principles bug, surfaced as CCS-S015).
+  /// claimed value (a first-principles bug, surfaced as CCS-S015).  Reads
+  /// no facts memo: CCS-B006 re-runs the retiming itself.
   [[nodiscard]] virtual bool reverify(const Csdfg& g,
                                       const BoundMachine& machine,
                                       const BoundResult& result) const = 0;
@@ -149,14 +155,15 @@ struct CompositeBound {
   [[nodiscard]] const BoundResult* part(std::string_view code) const;
 };
 
-/// Runs every applicable pass.  `g` must be legal (throws GraphError
-/// otherwise, via the underlying analyses).  Deterministic.
-[[nodiscard]] CompositeBound compute_bounds(const Csdfg& g,
+/// Runs every applicable pass: a fold over the graph's facts (CCS-B001 and
+/// B004 share its critical cycle, B006 reads its Φ_min), built on first
+/// use.  The graph must be legal (throws GraphError otherwise).
+[[nodiscard]] CompositeBound compute_bounds(const GraphFacts& facts,
                                             const BoundMachine& machine);
 
 /// Convenience overload: machine_view(topo, comm, options) first.
 [[nodiscard]] CompositeBound compute_bounds(
-    const Csdfg& g, const Topology& topo, const CommModel& comm,
+    const GraphFacts& facts, const Topology& topo, const CommModel& comm,
     const CycloCompactionOptions& options);
 
 /// Emits one kNote diagnostic per part (anchored at `span`), in catalogue

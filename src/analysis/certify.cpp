@@ -162,37 +162,23 @@ void unfold_cross_check(const Csdfg& g, const NormSchedule& s, int factor,
   bag.add("CCS-S011", s.whole, os.str());
 }
 
-/// CCS-S015: a schedule that certified clean must not be SHORTER than any
-/// claimed-sound static lower bound of (this graph, this machine) — the
-/// local composite is sound for the graph's exact delay placement, so a
-/// violation is a first-principles bug in the bound derivation or the
-/// certifier itself (src/analysis/bounds.hpp), and portfolio pruning
-/// decisions made from the bound cannot be trusted.  Only runs on clean
-/// schedules: a table that already failed certification proves nothing
-/// about the bounds.
-void cross_check_sound_bounds(const Csdfg& g, const NormSchedule& s,
-                              const CommModel& comm, DiagnosticBag& bag,
-                              CompositeBound* bound = nullptr) {
-  (void)cross_check_schedule_bound(g, s.length, s.speeds, s.pipelined, comm,
-                                   s.whole, bag, bound);
-}
-
 }  // namespace
 
-bool cross_check_schedule_bound(const Csdfg& g, int length,
+// CCS-S015: a schedule that certified clean must not be SHORTER than any
+// claimed-sound static lower bound of (this graph, this machine) — the
+// local composite is sound for the graph's exact delay placement, so a
+// violation is a first-principles bug in the bound derivation or the
+// certifier itself (src/analysis/bounds.hpp), and portfolio pruning
+// decisions made from the bound cannot be trusted.  The certify entry
+// points only run it on clean schedules: a table that already failed
+// certification proves nothing about the bounds.
+bool cross_check_schedule_bound(const GraphFacts& facts, int length,
                                 const std::vector<int>& pe_speeds,
                                 bool pipelined, const CommModel& comm,
-                                const SourceSpan& span, DiagnosticBag& bag,
-                                CompositeBound* bound) {
-  if (!g.is_legal() || pe_speeds.empty()) return true;
-  BoundMachine machine;
-  machine.num_pes = pe_speeds.size();
-  machine.speeds = pe_speeds;
-  machine.pipelined = pipelined;
-  machine.comm = &comm;
-  CompositeBound local;
-  CompositeBound& bounds = bound != nullptr ? *bound : local;
-  bounds = compute_bounds(g, machine);
+                                const SourceSpan& span, DiagnosticBag& bag) {
+  if (!facts.graph().is_legal() || pe_speeds.empty()) return true;
+  const CompositeBound bounds = compute_bounds(
+      facts, BoundMachine{pe_speeds.size(), pe_speeds, pipelined, &comm});
   if (length >= bounds.local_value) return true;
   std::ostringstream os;
   os << "certified schedule of length " << length
@@ -299,21 +285,22 @@ bool certify_schedule(const Csdfg& g, const RawSchedule& raw,
 
   check_norm(g, s, comm, bag);
   if (watch.clean()) unfold_cross_check(g, s, options.unfold_factor, comm, bag);
-  if (watch.clean()) cross_check_sound_bounds(g, s, comm, bag);
+  if (watch.clean())
+    (void)cross_check_schedule_bound(g, s.length, s.speeds, s.pipelined, comm,
+                                     s.whole, bag);
   return watch.clean();
 }
 
-bool certify_table(const Csdfg& g, const ScheduleTable& table,
+bool certify_table(const GraphFacts& facts, const ScheduleTable& table,
                    const CommModel& comm, const std::string& label,
-                   DiagnosticBag& bag, const CertifyOptions& options,
-                   CompositeBound* bound) {
+                   DiagnosticBag& bag, const CertifyOptions& options) {
   const ObsSpan phase(SpanProfiler::process(), "certify.table");
   const ErrorWatch watch(bag);
+  const Csdfg& g = facts.graph();
   NormSchedule s;
   s.length = table.length();
   s.pipelined = table.pipelined_pes();
-  s.speeds.resize(table.num_pes());
-  for (PeId p = 0; p < table.num_pes(); ++p) s.speeds[p] = table.pe_speed(p);
+  s.speeds = table.pe_speeds();
   s.whole = SourceSpan{label, 0};
   s.length_span = s.whole;
   for (const auto& [v, p] : table.placements())
@@ -321,7 +308,9 @@ bool certify_table(const Csdfg& g, const ScheduleTable& table,
 
   check_norm(g, s, comm, bag);
   if (watch.clean()) unfold_cross_check(g, s, options.unfold_factor, comm, bag);
-  if (watch.clean()) cross_check_sound_bounds(g, s, comm, bag, bound);
+  if (watch.clean())
+    (void)cross_check_schedule_bound(facts, s.length, s.speeds, s.pipelined,
+                                     comm, s.whole, bag);
   return watch.clean();
 }
 
@@ -342,46 +331,58 @@ bool bridge_validation_report(const ValidationReport& report,
   return report.ok();
 }
 
-bool certify_compaction_run(const Csdfg& original,
+bool certify_compaction_run(const GraphFacts& facts,
                             const CycloCompactionResult& result,
                             const CommModel& comm, RemapPolicy policy,
                             const std::string& label,
                             const CertifyOptions& options,
-                            DiagnosticBag& bag,
-                            CompositeBound* startup_bound) {
+                            DiagnosticBag& bag) {
   const ObsSpan phase(SpanProfiler::process(), "certify.run");
   const ErrorWatch watch(bag);
   const SourceSpan span{label, 0};
+  const Csdfg& original = facts.graph();
+  const Csdfg& retimed = result.retimed_graph;
 
-  // Retiming: legal for the input graph, and reproduces the claimed
-  // retimed graph edge by edge.
+  // Retiming: the claimed retimed graph is the input graph with its delays
+  // moved, and the recorded retiming is legal for the input graph and
+  // reproduces those delays edge by edge.
   if (result.retiming.size() != original.node_count() ||
-      result.retimed_graph.edge_count() != original.edge_count()) {
+      retimed.node_count() != original.node_count() ||
+      retimed.edge_count() != original.edge_count()) {
     bag.add("CCS-S010", span,
             "result shapes do not match the input graph (retiming over " +
                 std::to_string(result.retiming.size()) + " task(s), " +
-                std::to_string(result.retimed_graph.edge_count()) +
-                " retimed edge(s))");
+                std::to_string(retimed.node_count()) + " retimed task(s), " +
+                std::to_string(retimed.edge_count()) + " retimed edge(s))");
   } else {
+    for (NodeId v = 0; v < original.node_count(); ++v)
+      if (retimed.node(v).time != original.node(v).time)
+        bag.add("CCS-S010", span,
+                "task '" + original.node(v).name +
+                    "': the claimed retimed graph gives it another time");
     for (EdgeId eid = 0; eid < original.edge_count(); ++eid) {
       const Edge& e = original.edge(eid);
+      const Edge& claimed = retimed.edge(eid);
       const long long dr = result.retiming.retimed_delay(original, eid);
-      if (dr < 0) {
-        std::ostringstream os;
-        os << "edge " << original.node(e.from).name << "->"
-           << original.node(e.to).name << ": retimed delay d(e)+r(u)-r(v) = "
-           << dr << " is negative";
-        bag.add("CCS-S008", span, os.str());
-      } else if (dr != result.retimed_graph.edge(eid).delay) {
-        std::ostringstream os;
-        os << "edge " << original.node(e.from).name << "->"
-           << original.node(e.to).name << ": claimed retimed delay "
-           << result.retimed_graph.edge(eid).delay
+      const bool moved = claimed.from != e.from || claimed.to != e.to ||
+                         claimed.volume != e.volume;
+      if (!moved && dr == claimed.delay && dr >= 0) continue;
+      std::ostringstream os;
+      os << "edge " << original.node(e.from).name << "->"
+         << original.node(e.to).name << ": ";
+      if (moved)
+        os << "the claimed retimed graph moves it or changes its volume";
+      else if (dr < 0)
+        os << "retimed delay d(e)+r(u)-r(v) = " << dr << " is negative";
+      else
+        os << "claimed retimed delay " << claimed.delay
            << " but the recorded retiming yields " << dr;
-        bag.add("CCS-S010", span, os.str());
-      }
+      bag.add(!moved && dr < 0 ? "CCS-S008" : "CCS-S010", span, os.str());
     }
   }
+  // Only a legal retiming keeps the input's cycle ratio, critical cycle and
+  // Φ_min (docs/ALGORITHM.md §7).
+  const bool legal_retiming = watch.clean();
 
   // Theorem 4.4: without relaxation no pass may end longer than it began.
   if (policy == RemapPolicy::kWithoutRelaxation) {
@@ -421,10 +422,13 @@ bool certify_compaction_run(const Csdfg& original,
     bag.add("CCS-S010", span, os.str());
   }
 
-  (void)certify_table(original, result.startup, comm, label + " (startup)",
-                      bag, options, startup_bound);
-  (void)certify_table(result.retimed_graph, result.best, comm,
-                      label + " (best)", bag, options);
+  (void)certify_table(facts, result.startup, comm, label + " (startup)", bag,
+                      options);
+  const GraphFacts retimed_facts = legal_retiming
+                                       ? GraphFacts::retimed(retimed, facts)
+                                       : GraphFacts(retimed);
+  (void)certify_table(retimed_facts, result.best, comm, label + " (best)",
+                      bag, options);
   return watch.clean();
 }
 

@@ -30,6 +30,7 @@
 #include <string>
 
 #include "analysis/diagnostics.hpp"
+#include "analysis/graph_facts.hpp"
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/csdfg.hpp"
@@ -39,8 +40,6 @@
 #include "io/schedule_format.hpp"
 
 namespace ccs {
-
-struct CompositeBound;  // analysis/bounds.hpp
 
 /// Knobs of the certifier.
 struct CertifyOptions {
@@ -65,36 +64,33 @@ struct CertifyOptions {
                                     const CertifyOptions& options,
                                     DiagnosticBag& bag);
 
-/// Certifies an in-memory table (same checks minus file-only ones); spans
-/// anchor to `label` as a whole.  Used by the Solver, `simulate --certify`
-/// and the run-level audit below.  A non-null `bound` receives the
-/// CCS-S015 composite of (`g`, the table's machine) whenever that check ran
-/// (only after every other check passed), so a caller that needs the bound
-/// pays for it once; otherwise it is left untouched.
-[[nodiscard]] bool certify_table(const Csdfg& g, const ScheduleTable& table,
+/// Certifies an in-memory table of `facts.graph()` (same checks minus
+/// file-only ones); spans anchor to `label` as a whole.  Used by the
+/// Solver, `simulate --certify` and the run-level audit below.  CCS-S015
+/// reads the critical cycle and Φ_min off `facts`.
+[[nodiscard]] bool certify_table(const GraphFacts& facts,
+                                 const ScheduleTable& table,
                                  const CommModel& comm,
                                  const std::string& label,
                                  DiagnosticBag& bag,
-                                 const CertifyOptions& options = {},
-                                 CompositeBound* bound = nullptr);
+                                 const CertifyOptions& options = {});
 
 /// Defense-in-depth cross-check behind CCS-S015: a schedule of `length`
-/// control steps that certified clean for `g` on the machine described by
-/// `pe_speeds` / `pipelined` / `comm` must not beat the claimed-sound
-/// local CCS-B composite (analysis/bounds.hpp) — the bound is derived
-/// from first principles independently of both the scheduler and the
-/// certifier, so a violation means one of the three is wrong.  Runs
+/// control steps that certified clean for `facts.graph()` on the machine
+/// described by `pe_speeds` / `pipelined` / `comm` must not beat the
+/// claimed-sound local CCS-B composite (analysis/bounds.hpp) — the bound
+/// is derived from first principles independently of both the scheduler
+/// and the certifier, so a violation means one of the three is wrong.  Runs
 /// automatically after every clean certify_schedule / certify_table;
 /// exposed so tests can pin the diagnostic without having to break the
-/// bound derivation itself.  Returns true iff no finding was added.  A
-/// non-null `bound` receives the composite the check computed.
-[[nodiscard]] bool cross_check_schedule_bound(const Csdfg& g, int length,
+/// bound derivation itself.  Returns true iff no finding was added.
+[[nodiscard]] bool cross_check_schedule_bound(const GraphFacts& facts,
+                                              int length,
                                               const std::vector<int>& pe_speeds,
                                               bool pipelined,
                                               const CommModel& comm,
                                               const SourceSpan& span,
-                                              DiagnosticBag& bag,
-                                              CompositeBound* bound = nullptr);
+                                              DiagnosticBag& bag);
 
 /// Bridges a core validator report into coded diagnostics anchored at
 /// `span`: kUnplacedTask -> CCS-S002, kOutOfTable -> CCS-S003,
@@ -104,27 +100,28 @@ struct CertifyOptions {
 bool bridge_validation_report(const ValidationReport& report,
                               const SourceSpan& span, DiagnosticBag& bag);
 
-/// Audits a whole cyclo-compaction run of `original`:
-///  * the accumulated retiming is legal for the input graph and
-///    reproduces the claimed retimed graph (CCS-S008 / CCS-S010);
+/// Audits a whole cyclo-compaction run of `facts.graph()`:
+///  * the claimed retimed graph has the input's tasks, times and edges,
+///    and the accumulated retiming is legal for the input graph and
+///    reproduces its delays (CCS-S008 / CCS-S010);
 ///  * without relaxation, the per-pass length trace is monotone
 ///    non-increasing from the start-up length (Theorem 4.4, CCS-S009);
 ///  * the claimed best length / best pass agree with the trace
 ///    (CCS-S010);
 ///  * both the start-up and best tables certify clean (including the
 ///    unfold cross-check).
-/// `label` names the run in spans.  Returns true iff clean.  A non-null
-/// `startup_bound` receives the start-up table's CCS-S015 composite — a
-/// bound of `original` itself (see certify_table).
-[[nodiscard]] bool certify_compaction_run(const Csdfg& original,
+/// Once the retiming audit is clean, the best table's CCS-S015 check reads
+/// the retimed graph's cycle ratio, critical cycle and Φ_min off `facts`
+/// (GraphFacts::retimed); otherwise the retimed graph gets facts of its
+/// own.  `label` names the run in spans.  Returns true iff
+/// clean.
+[[nodiscard]] bool certify_compaction_run(const GraphFacts& facts,
                                           const CycloCompactionResult& result,
                                           const CommModel& comm,
                                           RemapPolicy policy,
                                           const std::string& label,
                                           const CertifyOptions& options,
-                                          DiagnosticBag& bag,
-                                          CompositeBound* startup_bound =
-                                              nullptr);
+                                          DiagnosticBag& bag);
 
 /// Structural audit of a recorded JSONL trace (no re-run): every line
 /// parses as a flat object with contiguous `seq` from 0 and a known

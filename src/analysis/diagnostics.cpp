@@ -178,7 +178,7 @@ std::string render_sarif(const DiagnosticBag& bag, std::string_view name) {
   JsonWriter doc;
   doc.field("version", "2.1.0")
       .field("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
-      .raw_field("runs", "[" + run.close() + "]");
+      .raw_field("runs", std::string("[").append(run.close()).append("]"));
   return doc.close() + "\n";
 }
 

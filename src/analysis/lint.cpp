@@ -6,9 +6,6 @@
 #include <tuple>
 
 #include "analysis/canon.hpp"
-#include "core/critical_cycle.hpp"
-#include "core/graph_algo.hpp"
-#include "core/iteration_bound.hpp"
 #include "util/contracts.hpp"
 
 namespace ccs {
@@ -31,7 +28,7 @@ public:
   }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const Csdfg& g = input.graph;
+    const Csdfg& g = input.facts.graph();
     if (g.is_legal()) return;
     // Iterative DFS over the zero-delay subgraph; the first back edge to a
     // node still on the stack closes a witness cycle.
@@ -108,7 +105,7 @@ public:
   }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const Csdfg& g = input.graph;
+    const Csdfg& g = input.facts.graph();
     std::map<std::tuple<NodeId, NodeId, int>, EdgeId> seen;
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
       const Edge& edge = g.edge(e);
@@ -133,7 +130,7 @@ public:
   }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const Csdfg& g = input.graph;
+    const Csdfg& g = input.facts.graph();
     if (g.node_count() < 2) return;  // A single node is a complete program.
     for (NodeId v = 0; v < g.node_count(); ++v) {
       if (!g.out_edges(v).empty() || !g.in_edges(v).empty()) continue;
@@ -154,14 +151,14 @@ public:
   }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const CanonResult canon = canonicalize(input.graph);
+    const CanonResult canon = canonicalize(input.facts.graph());
     if (canon.automorphism_count <= 1) return;
     std::ostringstream os;
     os << "the graph has " << canon.automorphism_count
        << (canon.complete ? "" : "+")
        << " attribute-preserving automorphisms; interchangeable task "
           "orbits: "
-       << orbit_summary(input.graph, canon);
+       << orbit_summary(input.facts.graph(), canon);
     bag.add("CCS-N002", input.spans.file_span(), os.str());
   }
 };
@@ -178,11 +175,10 @@ public:
   [[nodiscard]] bool needs_legal_graph() const override { return true; }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const Csdfg& g = input.graph;
-    const CycleWitness cycle = critical_cycle(g);
+    const Csdfg& g = input.facts.graph();
+    const CycleWitness& cycle = input.facts.critical_cycle();
     if (cycle.edges.empty() || cycle.total_delay != 1) return;
-    const DagTiming timing = compute_dag_timing(g);
-    if (cycle.total_time < timing.critical_path) return;
+    if (cycle.total_time < input.facts.dag_timing().critical_path) return;
     // Point at the edge carrying the cycle's single delay.
     SourceSpan span = input.spans.file_span();
     for (const EdgeId e : cycle.edges)
@@ -207,11 +203,11 @@ public:
   [[nodiscard]] bool needs_legal_graph() const override { return true; }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const Csdfg& g = input.graph;
+    const Csdfg& g = input.facts.graph();
     const Topology& topo = *input.options.topology;
     if (g.node_count() == 0) return;
     // Width proxy: the largest set of tasks sharing an ASAP control step.
-    const DagTiming timing = compute_dag_timing(g);
+    const DagTiming& timing = input.facts.dag_timing();
     std::map<long long, std::size_t> per_step;
     std::size_t width = 0;
     for (NodeId v = 0; v < g.node_count(); ++v)
@@ -240,12 +236,12 @@ public:
   [[nodiscard]] bool needs_legal_graph() const override { return true; }
 
   void run(const LintInput& input, DiagnosticBag& bag) const override {
-    const Csdfg& g = input.graph;
+    const Csdfg& g = input.facts.graph();
     const Topology& topo = *input.options.topology;
     if (topo.size() < 2 || g.node_count() == 0) return;
-    const Rational bound = iteration_bound(g);
+    const Rational bound = input.facts.iteration_bound();
     const long long projected = std::max<long long>(
-        {compute_dag_timing(g).critical_path,
+        {input.facts.dag_timing().critical_path,
          ceil_div(bound.num, bound.den),
          ceil_div(g.total_computation(),
                   static_cast<long long>(topo.size()))});
@@ -312,7 +308,7 @@ const std::vector<const LintPass*>& lint_passes() {
 }
 
 void run_lint_passes(const LintInput& input, DiagnosticBag& bag) {
-  const bool legal = input.graph.is_legal();
+  const bool legal = input.facts.graph().is_legal();
   const bool has_arch = input.options.topology != nullptr;
   for (const LintPass* pass : lint_passes()) {
     if (pass->needs_architecture() && !has_arch) continue;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "analysis/graph_facts.hpp"
 #include "analysis/rules.hpp"
 #include "arch/topology.hpp"
 #include "core/csdfg.hpp"
@@ -34,9 +35,9 @@ struct LintOptions {
   std::vector<int> pe_speeds;
 };
 
-/// Everything a pass may inspect.
+/// Everything a pass may inspect; the passes share the graph's facts.
 struct LintInput {
-  const Csdfg& graph;
+  const GraphFacts& facts;
   const SourceMap& spans;
   const LintOptions& options;
 };

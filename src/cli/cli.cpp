@@ -10,6 +10,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/canon.hpp"
 #include "analysis/certify.hpp"
+#include "analysis/graph_facts.hpp"
 #include "analysis/lint.hpp"
 #include "arch/comm_model.hpp"
 #include "core/critical_cycle.hpp"
@@ -404,15 +405,17 @@ int cmd_info(Args& args, std::istream& in, std::ostream& out) {
   const Csdfg g = parse_csdfg(slurp(args.positional()[0], in, used_stdin));
   args.reject_unknown();
 
-  const DagTiming timing = compute_dag_timing(g);
+  const GraphFacts facts(g);
+  const DagTiming& timing = facts.dag_timing();
   out << "graph:            " << g.name() << '\n'
       << "tasks:            " << g.node_count() << '\n'
       << "dependences:      " << g.edge_count() << '\n'
       << "total time:       " << g.total_computation() << '\n'
       << "total delays:     " << g.total_delay() << '\n'
       << "critical path:    " << timing.critical_path << '\n'
-      << "iteration bound:  " << iteration_bound(g).to_string() << '\n'
-      << "critical cycle:   " << describe_cycle(g, critical_cycle(g)) << '\n'
+      << "iteration bound:  " << facts.iteration_bound().to_string() << '\n'
+      << "critical cycle:   " << describe_cycle(g, facts.critical_cycle())
+      << '\n'
       << "dag roots:        ";
   const auto roots = zero_delay_roots(g);
   for (std::size_t i = 0; i < roots.size(); ++i)

@@ -13,7 +13,8 @@ NodeId Csdfg::add_node(std::string name, int time) {
     os << "node '" << name << "': computation time must be >= 1, got " << time;
     throw GraphError(os.str());
   }
-  if (name.empty()) name = "v" + std::to_string(nodes_.size());
+  if (name.empty())
+    name = std::string("v").append(std::to_string(nodes_.size()));
   nodes_.push_back(Node{std::move(name), time});
   out_.emplace_back();
   in_.emplace_back();

@@ -12,9 +12,7 @@ namespace {
 /// A saved schedule as a table on the start-up table's machine.
 ScheduleTable materialize(const Csdfg& g, const ScheduleTable& startup,
                           const FlatSchedule& saved) {
-  std::vector<int> speeds(startup.num_pes());
-  for (PeId p = 0; p < speeds.size(); ++p) speeds[p] = startup.pe_speed(p);
-  ScheduleTable t(g, std::move(speeds), startup.pipelined_pes());
+  ScheduleTable t(g, startup.pe_speeds(), startup.pipelined_pes());
   for (NodeId v = 0; v < saved.pe.size(); ++v)
     t.place(v, saved.pe[v], saved.cb[v]);
   t.set_length(saved.length);

@@ -62,8 +62,7 @@ void RemapEngine::bind(const ScheduleTable& table) {
   CCS_EXPECTS(table.node_count() == num_nodes_);
   num_pes_ = table.num_pes();
   pipelined_ = table.pipelined_pes();
-  speeds_.resize(num_pes_);
-  for (PeId p = 0; p < num_pes_; ++p) speeds_[p] = table.pe_speed(p);
+  speeds_ = table.pe_speeds();
   // Flat cost table: one entry per (volume, from, to).  CommModel::cost is
   // not volume-linear in general (cut-through adds a per-hop term), so the
   // table is keyed by the distinct volumes actually present.

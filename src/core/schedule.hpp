@@ -79,6 +79,8 @@ public:
 
   /// Speed (slowdown) factor of processor `pe`; 1 on homogeneous machines.
   [[nodiscard]] int pe_speed(PeId pe) const;
+  /// Every processor's speed factor, one per PE.
+  [[nodiscard]] const std::vector<int>& pe_speeds() const { return speeds_; }
 
   /// Effective execution time of v on `pe`: time(v) * pe_speed(pe).
   [[nodiscard]] int time_on(NodeId v, PeId pe) const;

@@ -23,9 +23,7 @@ ScheduleTable unfold_table(const ScheduleTable& table, const Unfolded& unfolded,
   CCS_EXPECTS(table.occupied_length() <= table.length());
   CCS_EXPECTS(unfolded.copy_of.size() == table.node_count());
 
-  std::vector<int> speeds(table.num_pes(), 1);
-  for (PeId p = 0; p < table.num_pes(); ++p) speeds[p] = table.pe_speed(p);
-  ScheduleTable flat(unfolded.graph, std::move(speeds), table.pipelined_pes());
+  ScheduleTable flat(unfolded.graph, table.pe_speeds(), table.pipelined_pes());
 
   const int L = table.length();
   for (const auto& [v, p] : table.placements())

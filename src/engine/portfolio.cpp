@@ -142,10 +142,11 @@ std::vector<AttemptConfig> portfolio_attempts(const Csdfg& g,
   return roster;
 }
 
-PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
-                                  const CommModel& comm,
+PortfolioResult portfolio_compact(const GraphFacts& facts,
+                                  const Topology& topo, const CommModel& comm,
                                   const PortfolioOptions& opt,
                                   const ObsContext& obs) {
+  const Csdfg& g = facts.graph();
   g.require_legal();
   const ObsSpan portfolio_span = obs.span("portfolio");
   // The whole portfolio is one run: its deadline counts from here, once,
@@ -157,7 +158,8 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   // The invariant composite (analysis/bounds.hpp): sound for any schedule
   // of any legal retiming of g, which is exactly what every attempt
   // produces.  The local composite would over-prune — attempts retime.
-  const CompositeBound bound = compute_bounds(g, topo, comm, opt.base);
+  // Built here, before any worker starts: the facts are not thread-safe.
+  const CompositeBound bound = compute_bounds(facts, topo, comm, opt.base);
   const int lower_bound = std::max(1, bound.value);
 
   const bool want_traces = obs.tracing();
@@ -366,9 +368,9 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   CCS_ENSURES(result.winner.best.length() <= result.serial_length);
 
   if (opt.certify_winner) {
-    result.certified = certify_table(
-        result.winner.retimed_graph, result.winner.best, comm,
-        "portfolio/" + result.winner_label, result.certification, {});
+    result.certified = certify_compaction_run(
+        facts, result.winner, comm, roster[winner_index].options.policy,
+        "portfolio/" + result.winner_label, {}, result.certification);
     result.certification.finalize();
   }
 

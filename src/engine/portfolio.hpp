@@ -82,9 +82,8 @@ struct PortfolioOptions {
   /// every grid attempt inherits its startup/budget fields (grid cells
   /// override policy, selection, priority, and passes).
   CycloCompactionOptions base;
-  /// Certify the winning schedule from first principles
-  /// (analysis/certify.hpp) before returning; findings land in
-  /// PortfolioResult::certification.
+  /// Audit the winning run (certify_compaction_run, analysis/certify.hpp)
+  /// before returning; findings land in PortfolioResult::certification.
   bool certify_winner = true;
 };
 
@@ -137,8 +136,8 @@ struct PortfolioResult {
   /// Full per-pass provenance: every applicable CCS-B bound with its
   /// witness, plus the invariant/local composites and dominant codes.
   CompositeBound bound;
-  /// Result of certifying the winner (true when certify_winner is off —
-  /// nothing failed).
+  /// Result of the whole-run audit of the winner (true when
+  /// certify_winner is off — nothing failed).
   bool certified = true;
   /// Certifier findings for the winner (empty when certify_winner is off).
   DiagnosticBag certification;
@@ -151,15 +150,16 @@ struct PortfolioResult {
 [[nodiscard]] std::vector<AttemptConfig> portfolio_attempts(
     const Csdfg& g, const PortfolioOptions& opt);
 
-/// Runs the portfolio on `opt.jobs` workers and returns the best attempt.
-/// Deterministic rows and winner (see the contract above); throws
-/// GraphError if `g` is illegal, propagates a start-up scheduling failure,
-/// and rethrows the first (by attempt index) exception any attempt's
-/// compaction raised.  `obs` receives merged metrics, attempt-tagged trace
-/// lines in attempt order, the portfolio.* counters/gauges, and the
-/// portfolio span.
+/// Runs the portfolio over `facts.graph()` on `opt.jobs` workers and
+/// returns the best attempt.  Deterministic rows and winner (see the
+/// contract above); throws GraphError if the graph is illegal, propagates a
+/// start-up scheduling failure, and rethrows the first (by attempt index)
+/// exception any attempt's compaction raised.  Only the calling thread
+/// reads `facts` (before the workers start, after they join).  `obs`
+/// receives merged metrics, attempt-tagged trace lines in attempt order,
+/// the portfolio.* counters/gauges, and the portfolio span.
 [[nodiscard]] PortfolioResult portfolio_compact(
-    const Csdfg& g, const Topology& topo, const CommModel& comm,
+    const GraphFacts& facts, const Topology& topo, const CommModel& comm,
     const PortfolioOptions& opt = {}, const ObsContext& obs = {});
 
 }  // namespace ccs

@@ -260,9 +260,7 @@ std::shared_ptr<const SolveCache::Entry> make_cache_entry(
   for (NodeId v = 0; v < n; ++v)
     entry->placements[canon.perm[v]] = res.schedule->placement(v);
   entry->table_length = res.schedule->length();
-  entry->pe_speeds.reserve(res.schedule->num_pes());
-  for (PeId pe = 0; pe < res.schedule->num_pes(); ++pe)
-    entry->pe_speeds.push_back(res.schedule->pe_speed(pe));
+  entry->pe_speeds = res.schedule->pe_speeds();
   entry->pipelined = res.schedule->pipelined_pes();
   entry->startup_length = res.startup_length;
   entry->best_length = res.best_length;

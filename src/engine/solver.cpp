@@ -29,15 +29,6 @@ void add_infeasible(DiagnosticBag& bag, const std::string& message) {
   bag.add("CCS-E002", SourceSpan{kRequestSpan, 0}, message);
 }
 
-/// Takes the dominant pass of `bound` as the answer's lower bound: the
-/// retiming-invariant composite, so it holds for retimed schedules too.
-void adopt_bound(const CompositeBound& bound, SolveResponse& res) {
-  res.lower_bound = std::max(1, bound.value);
-  res.bound_pass = std::string(bound.dominant);
-  if (const BoundResult* part = bound.part(bound.dominant))
-    res.bound_witness = part->witness;
-}
-
 /// Certification outcome into the response: downgrades kOk to kUncertified
 /// (never upgrades).  The certifier's findings land in the response bag.
 void record_certification(bool certified, SolveResponse& res) {
@@ -72,44 +63,36 @@ void take_run(const ObsContext& obs, CycloCompactionResult& run,
   res.status = SolveStatus::kOk;
 }
 
-void solve_startup(const SolveRequest& request, const Topology& topo,
-                   const CommModel& comm, const ObsContext& obs,
-                   SolveResponse& res) {
+void solve_startup(const SolveRequest& request, const GraphFacts& facts,
+                   const Topology& topo, const CommModel& comm,
+                   const ObsContext& obs, SolveResponse& res) {
   res.schedule.emplace(
       start_up_schedule(request.graph, topo, comm, request.options.startup,
                         obs));
   res.startup_length = res.schedule->length();
   res.best_length = res.schedule->length();
   res.status = SolveStatus::kOk;
-  // The start-up table is a table of the request graph, so the certifier's
-  // CCS-S015 composite is the answer's lower bound as well.
-  CompositeBound bound;
   record_certification(
       !request.certify ||
-          certify_table(res.graph, *res.schedule, comm, "solver/startup",
-                        res.diagnostics, request.certify_options, &bound),
+          certify_table(facts, *res.schedule, comm, "solver/startup",
+                        res.diagnostics, request.certify_options),
       res);
-  if (!bound.parts.empty()) adopt_bound(bound, res);
 }
 
-void solve_schedule(const SolveRequest& request, const Topology& topo,
-                    const CommModel& comm, const ObsContext& obs,
-                    SolveResponse& res) {
+void solve_schedule(const SolveRequest& request, const GraphFacts& facts,
+                    const Topology& topo, const CommModel& comm,
+                    const ObsContext& obs, SolveResponse& res) {
   CycloCompactionResult run =
       cyclo_compact(request.graph, topo, comm, request.options, obs);
-  CompositeBound bound;
   // The whole run is audited: retiming provenance, Theorem 4.4 monotonicity
-  // and both tables; the start-up table's CCS-S015 composite is a bound of
-  // the request graph.
+  // and both tables.
   const bool certified =
       !request.certify ||
-      certify_compaction_run(request.graph, run, comm,
-                             request.options.policy, "solver/schedule",
-                             request.certify_options, res.diagnostics,
-                             &bound);
+      certify_compaction_run(facts, run, comm, request.options.policy,
+                             "solver/schedule", request.certify_options,
+                             res.diagnostics);
   take_run(obs, run, res);
   record_certification(certified, res);
-  if (!bound.parts.empty()) adopt_bound(bound, res);
 }
 
 void solve_modulo(const SolveRequest& request, const Topology& topo,
@@ -130,36 +113,32 @@ void solve_modulo(const SolveRequest& request, const Topology& topo,
       res);
 }
 
-void solve_portfolio(const SolveRequest& request, const Topology& topo,
-                     const CommModel& comm, const ObsContext& obs,
-                     SolveResponse& res) {
+void solve_portfolio(const SolveRequest& request, const GraphFacts& facts,
+                     const Topology& topo, const CommModel& comm,
+                     const ObsContext& obs, SolveResponse& res) {
   PortfolioOptions popt = request.portfolio;
   popt.base = request.options;
   popt.certify_winner = request.certify;
-  PortfolioResult portfolio =
-      portfolio_compact(request.graph, topo, comm, popt, obs);
+  PortfolioResult portfolio = portfolio_compact(facts, topo, comm, popt, obs);
   take_run(obs, portfolio.winner, res);
   res.attempts = std::move(portfolio.attempts);
   res.winner_attempt = static_cast<int>(portfolio.winner_attempt);
   res.winner_label = portfolio.winner_label;
-  adopt_bound(portfolio.bound, res);  // already computed for pruning
   for (const Diagnostic& d : portfolio.certification.diagnostics())
     res.diagnostics.add(d);
   record_certification(!request.certify || portfolio.certified, res);
 }
 
-void solve_certify(const SolveRequest& request, const CommModel& comm,
-                   SolveResponse& res) {
+void solve_certify(const SolveRequest& request, const GraphFacts& facts,
+                   const CommModel& comm, SolveResponse& res) {
   if (!request.schedule.has_value())
     throw Error("mode kCertify needs request.schedule");
   res.schedule = request.schedule;
   res.best_length = res.schedule->length();
-  res.certified =
-      certify_table(request.graph, *request.schedule, comm,
-                    "solver/certify", res.diagnostics,
-                    request.certify_options);
-  res.status =
-      res.certified ? SolveStatus::kOk : SolveStatus::kUncertified;
+  res.certified = certify_table(facts, *request.schedule, comm,
+                                "solver/certify", res.diagnostics,
+                                request.certify_options);
+  res.status = res.certified ? SolveStatus::kOk : SolveStatus::kUncertified;
 }
 
 void solve_repair(const SolveRequest& request, const Topology& topo,
@@ -298,6 +277,8 @@ SolveResponse Solver::solve(const SolveRequest& request) const {
   SolveResponse res;
   res.graph = request.graph;
   res.retiming = Retiming(request.graph.node_count());
+  // The request graph's facts, shared by every stage of the solve below.
+  const GraphFacts facts(request.graph);
   try {
     request.graph.require_legal();
     // One row per control step: a task longer than the cap could only be
@@ -320,19 +301,19 @@ SolveResponse Solver::solve(const SolveRequest& request) const {
 
     switch (request.mode) {
       case SolveMode::kStartup:
-        solve_startup(request, topo, comm, obs_, res);
+        solve_startup(request, facts, topo, comm, obs_, res);
         break;
       case SolveMode::kSchedule:
-        solve_schedule(request, topo, comm, obs_, res);
+        solve_schedule(request, facts, topo, comm, obs_, res);
         break;
       case SolveMode::kModulo:
         solve_modulo(request, topo, comm, res);
         break;
       case SolveMode::kPortfolio:
-        solve_portfolio(request, topo, comm, obs_, res);
+        solve_portfolio(request, facts, topo, comm, obs_, res);
         break;
       case SolveMode::kCertify:
-        solve_certify(request, comm, res);
+        solve_certify(request, facts, comm, res);
         break;
       case SolveMode::kRepair:
         solve_repair(request, topo, comm, obs_, res);
@@ -340,26 +321,25 @@ SolveResponse Solver::solve(const SolveRequest& request) const {
         break;
     }
 
-    // Optimality certificate: every schedule-producing mode except repair
-    // (whose machine differs from the request's) reports how far the
-    // answer sits from the static floor.  The modes above already adopted
-    // a composite they built anyway (the portfolio's pruning floor, the
-    // CCS-S015 composite of a table of the request graph); a certified
-    // answer without one pays for a single compute_bounds here, and an
-    // uncertified one stays at lower_bound 0 / gap -1.  The invariant
-    // composite is sound for retimed schedules, so gap == 0 on a certified
-    // answer is a proof of optimality.
+    // Optimality certificate of every schedule-producing mode but repair
+    // (whose machine shrinks): the retiming-invariant floor of the request
+    // graph on the machine its table was built for, so gap == 0 on a
+    // certified answer proves optimality.  Certified answers and the
+    // portfolio (which prunes with it) carry it, usually a fold over facts
+    // built by then; other uncertified answers stay at 0 / -1.
     if (request.mode != SolveMode::kRepair && res.schedule.has_value() &&
         (res.status == SolveStatus::kOk ||
-         res.status == SolveStatus::kUncertified)) {
-      if (res.lower_bound == 0 &&
-          (request.certify || request.mode == SolveMode::kCertify))
-        adopt_bound(
-            compute_bounds(request.graph, topo, comm, request.options), res);
-      if (res.lower_bound > 0) {
-        res.gap = res.best_length - res.lower_bound;
-        res.optimal = res.certified && request.certify && res.gap == 0;
-      }
+         res.status == SolveStatus::kUncertified) &&
+        (request.certify || request.mode == SolveMode::kCertify ||
+         request.mode == SolveMode::kPortfolio)) {
+      const CompositeBound bound =
+          compute_bounds(facts, machine_view(*res.schedule, comm));
+      res.lower_bound = std::max(1, bound.value);
+      res.bound_pass = std::string(bound.dominant);
+      if (const BoundResult* part = bound.part(bound.dominant))
+        res.bound_witness = part->witness;
+      res.gap = res.best_length - res.lower_bound;
+      res.optimal = res.certified && request.certify && res.gap == 0;
     }
   } catch (const std::exception& e) {
     // Error and everything else the layers below throw: CCS-E001.

@@ -103,8 +103,8 @@ struct SolveRequest {
   /// kRepair: fault-spec text (docs/ROBUSTNESS.md grammar).
   std::string faults;
   /// Certify whatever schedule the solve produces (kCertify always does).
-  /// kSchedule audits the whole compaction run (certify_compaction_run:
-  /// retiming provenance, Theorem 4.4 monotonicity, the start-up and best
+  /// kSchedule and kPortfolio audit the whole (winning) compaction run
+  /// (certify_compaction_run: retiming provenance, Theorem 4.4, both
   /// tables); the other modes certify the table they answer with.
   bool certify = true;
   CertifyOptions certify_options;
@@ -135,15 +135,14 @@ struct SolveResponse {
   /// True when the schedule was certified (vacuously true when
   /// certification was not requested).
   bool certified = false;
-  /// Static composite lower bound for (request.graph, machine): the
-  /// retiming-invariant CCS-B composite (analysis/bounds.hpp), so it holds
-  /// for the retimed schedules compaction produces.  The solve reuses a
-  /// composite it already built — the portfolio's pruning floor, or the
-  /// certifier's CCS-S015 composite of a table of the request graph
-  /// (kStartup, kSchedule) — and runs compute_bounds itself only for a
-  /// certified answer without one (kModulo, kCertify).  0 when no schedule
-  /// was produced, for uncertified answers other than kPortfolio, and for
-  /// kRepair (the machine shrinks mid-solve).
+  /// Static composite lower bound for request.graph on the machine the
+  /// returned table was built for (its PE count, speeds and pipelined
+  /// flag): the retiming-invariant CCS-B composite (analysis/bounds.hpp),
+  /// so it holds for the retimed schedules compaction produces.  One
+  /// compute_bounds over the request graph's facts, which the solve has
+  /// usually built by then.  0 when no schedule was produced, for uncertified
+  /// answers other than kPortfolio, and for kRepair (the machine shrinks
+  /// mid-solve).
   int lower_bound = 0;
   /// The CCS-B pass that attains lower_bound ("CCS-B004", ...) and its
   /// human-readable witness; empty when lower_bound is 0.  The witness

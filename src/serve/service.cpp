@@ -281,17 +281,16 @@ struct Service {
         sequencer(out, o.queue_depth * 4 + 64) {}
 };
 
-ServeResponseFields answer_bound_only(const ServeRequest& r,
+/// The bound-only rung: the static floor of the already parsed request.
+ServeResponseFields answer_bound_only(const SolveRequest& base,
+                                      const std::string& id,
                                       unsigned long long seq) {
-  const Csdfg g = parse_csdfg(r.graph);
-  const Topology topo = parse_topology(r.arch);
+  const Topology topo = parse_topology(base.arch);
   const StoreAndForwardModel comm(topo);
-  CycloCompactionOptions opts;
-  opts.startup.pipelined_pes = r.pipelined;
-  opts.startup.pe_speeds = r.speeds;
-  const CompositeBound bound = compute_bounds(g, topo, comm, opts);
+  const CompositeBound bound =
+      compute_bounds(base.graph, topo, comm, base.options);
   ServeResponseFields f;
-  f.id = r.id;
+  f.id = id;
   f.seq = seq;
   f.status = "uncertified";
   f.degraded = "bound-only";
@@ -324,7 +323,7 @@ ServeResponseFields handle_solve(Service& s, const Solver& solver,
   const ServeRung rung = pick_serve_rung(remaining, s.opts);
   if (rung == ServeRung::kBound) {
     try {
-      return answer_bound_only(r, job.seq);
+      return answer_bound_only(base, r.id, job.seq);
     } catch (const std::exception& e) {
       return refusal(r.id, job.seq, "error", "CCS-E001", e.what());
     }

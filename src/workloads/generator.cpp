@@ -31,7 +31,7 @@ Csdfg random_csdfg(const RandomDfgConfig& config, std::uint64_t seed) {
 
   std::vector<std::vector<NodeId>> layers(config.num_layers);
   for (std::size_t i = 0; i < config.num_nodes; ++i) {
-    const NodeId v = g.add_node("n" + std::to_string(i),
+    const NodeId v = g.add_node(std::string("n").append(std::to_string(i)),
                                 rng.uniform_int(1, config.max_time));
     layers[layer_of[i]].push_back(v);
   }

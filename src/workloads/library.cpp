@@ -95,7 +95,8 @@ namespace {
 /// edges are loop-carried (d = 1) — used to close the global recurrence
 /// into section 0.
 NodeId ewf_section(Csdfg& g, int index, NodeId u, bool deferred_input) {
-  const std::string p = "s" + std::to_string(index) + ".";
+  const std::string p =
+      std::string("s").append(std::to_string(index)).append(".");
   // The filter's global state register bank: four registers on the
   // recurrence into section 0 keep the big cycle's time/delay ratio near
   // the intra-section recurrences (the real benchmark distributes its
@@ -201,7 +202,8 @@ Csdfg lattice_filter() {
   // Output ladder y = b_1 + ... + b_5.
   NodeId acc = b[1];
   for (int k = 2; k <= kStages; ++k) {
-    const NodeId s = g.add_node("S" + std::to_string(k - 1), 1);
+    const NodeId s =
+        g.add_node(std::string("S").append(std::to_string(k - 1)), 1);
     g.add_edge(acc, s, 0, 1);
     g.add_edge(b[static_cast<std::size_t>(k)], s, 0, 1);
     acc = s;
@@ -218,7 +220,8 @@ Csdfg iir_biquad_cascade(std::size_t sections) {
   const NodeId x = g.add_node("x", 1);
   NodeId in = x;
   for (std::size_t s = 0; s < sections; ++s) {
-    const std::string p = "b" + std::to_string(s) + ".";
+    const std::string p =
+        std::string("b").append(std::to_string(s)).append(".");
     // Direct-form II: w = x - a1*w[n-1] - a2*w[n-2];
     //                 y = b0*w + b1*w[n-1] + b2*w[n-2].
     const NodeId a1w = g.add_node(p + "a1w", 2);
@@ -255,12 +258,13 @@ Csdfg fir_filter(std::size_t taps) {
   const NodeId x = g.add_node("x", 1);
   NodeId acc = 0;
   for (std::size_t i = 0; i < taps; ++i) {
-    const NodeId m = g.add_node("m" + std::to_string(i), 2);
+    const NodeId m = g.add_node(std::string("m").append(std::to_string(i)), 2);
     g.add_edge(x, m, static_cast<int>(i), 1);  // tap line: one delay/stage
     if (i == 0) {
       acc = m;
     } else {
-      const NodeId s = g.add_node("s" + std::to_string(i), 1);
+      const NodeId s =
+          g.add_node(std::string("s").append(std::to_string(i)), 1);
       g.add_edge(acc, s, 0, 1);
       g.add_edge(m, s, 0, 1);
       acc = s;
@@ -313,8 +317,10 @@ Csdfg correlator(std::size_t taps) {
   const NodeId host = g.add_node("host", 1);
   std::vector<NodeId> cmp, add;
   for (std::size_t k = 0; k < taps; ++k) {
-    cmp.push_back(g.add_node("c" + std::to_string(k + 1), 3));
-    add.push_back(g.add_node("a" + std::to_string(k + 1), 7));
+    cmp.push_back(
+        g.add_node(std::string("c").append(std::to_string(k + 1)), 3));
+    add.push_back(
+        g.add_node(std::string("a").append(std::to_string(k + 1)), 7));
   }
   // Delayed comparator chain: host -> c1 -> c2 -> ... (one register each).
   g.add_edge(host, cmp[0], 1, 1);

@@ -215,7 +215,8 @@ TEST(Canon, FanOutAutomorphismsAndOrbits) {
   Csdfg g("fan");
   const NodeId src = g.add_node("src", 1);
   for (int i = 1; i <= 4; ++i)
-    g.add_edge(src, g.add_node("f" + std::to_string(i), 2), 0, 1);
+    g.add_edge(src, g.add_node(std::string("f").append(std::to_string(i)), 2),
+               0, 1);
   const CanonResult canon = canonicalize(g);
   EXPECT_TRUE(canon.complete);
   EXPECT_EQ(canon.automorphism_count, 24ull);

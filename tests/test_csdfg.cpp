@@ -107,7 +107,8 @@ TEST(Csdfg, LegalityDetectsZeroDelayCycles) {
 
 TEST(Csdfg, LegalityHandlesLongerCycles) {
   Csdfg g;
-  for (int i = 0; i < 4; ++i) g.add_node("n" + std::to_string(i), 1);
+  for (int i = 0; i < 4; ++i)
+    g.add_node(std::string("n").append(std::to_string(i)), 1);
   g.add_edge(0, 1, 0);
   g.add_edge(1, 2, 0);
   g.add_edge(2, 3, 0);

@@ -1,8 +1,8 @@
 // The CLI's `schedule`/`stress` and serve share one dispatch path
 // (ccs::Solver): the artifacts they emit agree, the lower bound the Solver
-// reports reuses a composite the solve already built and equals a fresh
-// compute_bounds, and the number of compute_bounds runs (the `bounds`
-// span) per command is pinned.
+// reports equals a fresh compute_bounds, and the number of Φ_min and cycle
+// ratio computations (the `facts.min_period` and `facts.cycle_ratio`
+// spans) per command is pinned.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -110,17 +110,25 @@ TEST(FrontDoor, CliEmitMatchesServeEmitInEveryMode) {
 }
 
 /// Runs one command with a private profiler on the process-global hook and
-/// returns how many `bounds` spans (compute_bounds calls) it opened.
-std::uint64_t bounds_spans(const std::vector<std::string>& args,
-                           const std::string& stdin_text = "") {
+/// returns how many `span` spans it opened.
+std::uint64_t spans_named(const std::string& span,
+                          const std::vector<std::string>& args,
+                          const std::string& stdin_text = "") {
   SpanProfiler profiler;
   SpanProfiler* previous = SpanProfiler::set_process(&profiler);
   const CliRun r = cli(args, stdin_text);
   SpanProfiler::set_process(previous);
   EXPECT_LE(r.code, 1) << r.err;
   const auto stats = profiler.stats();
-  const auto it = stats.find("bounds");
+  const auto it = stats.find(span);
   return it == stats.end() ? 0 : it->second.durations.count();
+}
+
+/// How many times one command computed Φ_min (GraphFacts::min_period, the
+/// costly input of CCS-B006).
+std::uint64_t min_period_spans(const std::vector<std::string>& args,
+                           const std::string& stdin_text = "") {
+  return spans_named("facts.min_period", args, stdin_text);
 }
 
 TEST(FrontDoor, BoundsSpanCountPerCommand) {
@@ -134,16 +142,20 @@ TEST(FrontDoor, BoundsSpanCountPerCommand) {
   };
   // Uncertified schedules never pay for the bound engine.
   for (const char* policy : {"relax", "strict", "startup", "modulo"})
-    EXPECT_EQ(bounds_spans(with({"--policy", policy})), 0u) << policy;
-  EXPECT_EQ(bounds_spans(with({"--portfolio", "--jobs", "1"})), 1u);
-  // Certified: the start-up table's CCS-S015 composite doubles as the
-  // lower bound; modulo's only certified table is of the retimed graph, so
-  // its lower bound costs one compute_bounds of its own.
-  EXPECT_EQ(bounds_spans(with({"--certify", "--policy", "relax"})), 2u);
-  EXPECT_EQ(bounds_spans(with({"--certify", "--policy", "strict"})), 2u);
-  EXPECT_EQ(bounds_spans(with({"--certify", "--policy", "startup"})), 1u);
-  EXPECT_EQ(bounds_spans(with({"--certify", "--policy", "modulo"})), 2u);
-  EXPECT_EQ(bounds_spans(with({"--certify", "--portfolio", "--jobs", "1"})),
+    EXPECT_EQ(min_period_spans(with({"--policy", policy})), 0u) << policy;
+  EXPECT_EQ(min_period_spans(with({"--portfolio", "--jobs", "1"})), 1u);
+  // Certified: the request graph's Φ_min serves both tables' CCS-S015
+  // checks (the retimed graph inherits it once the retiming audit passed)
+  // and the lower bound; modulo's table is of a graph of its own.
+  EXPECT_EQ(min_period_spans(with({"--certify", "--policy", "relax"})), 1u);
+  EXPECT_EQ(min_period_spans(with({"--certify", "--policy", "strict"})), 1u);
+  EXPECT_EQ(min_period_spans(with({"--certify", "--policy", "startup"})), 1u);
+  EXPECT_EQ(min_period_spans(with({"--certify", "--policy", "modulo"})), 2u);
+  EXPECT_EQ(min_period_spans(with({"--certify", "--portfolio", "--jobs", "1"})),
+            1u);
+  // One cycle ratio for the pre-flight lint and one for the solve.
+  EXPECT_LE(spans_named("facts.cycle_ratio",
+                        with({"--certify", "--policy", "relax"})),
             2u);
 
   const std::vector<std::string> stress = {
@@ -151,13 +163,13 @@ TEST(FrontDoor, BoundsSpanCountPerCommand) {
   const auto stressed = [&](std::vector<std::string> extra) {
     std::vector<std::string> args = stress;
     args.insert(args.end(), extra.begin(), extra.end());
-    return bounds_spans(args, "fail p0\n");
+    return min_period_spans(args, "fail p0\n");
   };
   EXPECT_EQ(stressed({}), 0u);
   EXPECT_EQ(stressed({"--repair"}), 1u);
   EXPECT_EQ(stressed({"--portfolio", "--jobs", "1", "--repair"}), 2u);
 
-  EXPECT_EQ(bounds_spans({"analyze", fig7, "--arch", "mesh 4 2"}), 1u);
+  EXPECT_EQ(min_period_spans({"analyze", fig7, "--arch", "mesh 4 2"}), 1u);
 }
 
 std::vector<Csdfg> library_workloads() {

@@ -477,7 +477,8 @@ TEST(ParseErrors, ArchitectureMessagesEchoTheFullSpec) {
       (void)parse_topology(spec);
       FAIL() << "should have thrown for '" << spec << "'";
     } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + std::string(spec) + "'"),
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("'").append(spec).append("'")),
                 std::string::npos)
           << e.what();
     }

@@ -417,11 +417,11 @@ TEST(ServeSoak, ThousandMixedRequestsAllAnswered) {
   std::string input;
   int lines = 0;
   for (int i = 0; i < 250; ++i) {
-    input += solve_line("s" + std::to_string(i),
+    input += solve_line(std::string("s").append(std::to_string(i)),
                         i % 3 == 0 ? kGraphA : (i % 3 == 1 ? kGraphB
                                                            : kGraphC)) +
              "\n";
-    input += solve_line("d" + std::to_string(i), kGraphA,
+    input += solve_line(std::string("d").append(std::to_string(i)), kGraphA,
                         ",\"deadline_ms\":" +
                             std::to_string(i % 5 == 0 ? -1 : 40)) +
              "\n";

@@ -246,6 +246,39 @@ TEST(SolverApi, CertifyModeAcceptsAGoodScheduleAndRejectsABrokenOne) {
   }
 }
 
+// kCertify bounds the table on the machine it was certified on.  A
+// pipelined start-up table of length 5, certified clean, sent back with
+// default (non-pipelined) options must not report a floor it beats.
+TEST(SolverApi, CertifyModeBoundsTheTablesOwnMachine) {
+  const Csdfg g = parse_csdfg(
+      "graph g\nnode a 3\nnode b 3\nnode c 3\nnode d 3\nnode e 3\n"
+      "node f 3\nedge a b 1 1\nedge b a 1 1\nedge c d 1 1\n"
+      "edge e f 1 1\n");
+  Solver solver;
+  SolveRequest produce;
+  produce.graph = g;
+  produce.arch = "linear_array 2";
+  produce.mode = SolveMode::kStartup;
+  produce.options.startup.pipelined_pes = true;
+  const SolveResponse made = solver.solve(produce);
+  ASSERT_TRUE(made.ok()) << render_text(made.diagnostics);
+  ASSERT_TRUE(made.certified);
+  ASSERT_EQ(made.best_length, 5);
+
+  SolveRequest check;
+  check.graph = g;
+  check.arch = "linear_array 2";
+  check.mode = SolveMode::kCertify;
+  check.schedule = made.schedule;
+  const SolveResponse res = solver.solve(check);
+  ASSERT_TRUE(res.ok()) << render_text(res.diagnostics);
+  EXPECT_TRUE(res.certified);
+  EXPECT_EQ(res.lower_bound, made.lower_bound);
+  EXPECT_EQ(res.bound_pass, made.bound_pass);
+  EXPECT_LE(res.lower_bound, res.best_length);
+  EXPECT_EQ(res.gap, res.best_length - res.lower_bound);
+}
+
 TEST(SolverApi, RepairModeWalksTheLadder) {
   Solver solver;
   SolveRequest req;
