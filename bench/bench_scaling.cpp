@@ -102,14 +102,25 @@ BENCHMARK(BM_CompactionVsPes)
     ->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+/// Times Φ_min by FEAS probes from the iteration bound (computed once, as
+/// GraphFacts memoizes it) and exports the deterministic probe and
+/// longest-path round counts, gated in CI against
+/// bench/baselines/min_period.json.
 void BM_MinPeriodRetiming(benchmark::State& state) {
   const Csdfg g = graph_of_size(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(min_period_retiming(g));
+  const Rational bound = iteration_bound(g);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(min_period_retiming(g, bound));
+  const MinPeriodResult r = min_period_retiming(g, bound);
+  state.counters["min_period.probes"] =
+      ::benchmark::Counter(static_cast<double>(r.probes));
+  state.counters["min_period.rounds"] =
+      ::benchmark::Counter(static_cast<double>(r.rounds));
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MinPeriodRetiming)
-    ->RangeMultiplier(2)
-    ->Range(16, 64)
+    ->RangeMultiplier(4)
+    ->Range(16, 4096)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
 

@@ -33,6 +33,7 @@
 #include <sstream>
 
 #include "core/graph_algo.hpp"
+#include "core/iteration_bound.hpp"
 #include "core/retiming.hpp"
 #include "obs/span.hpp"
 #include "util/contracts.hpp"
@@ -478,7 +479,7 @@ public:
   [[nodiscard]] bool reverify(const Csdfg& g, const BoundMachine& machine,
                               const BoundResult& result) const override {
     if (result.data.size() != 2) return false;
-    const long long phi = min_period_retiming(g).period;
+    const long long phi = min_period_retiming(g, iteration_bound(g)).period;
     return phi == result.data[0] &&
            result.data[1] == machine.min_speed() &&
            result.value == as_bound(phi * result.data[1]);

@@ -27,8 +27,9 @@ const CycleWitness& GraphFacts::critical_cycle() const {
 long long GraphFacts::min_period() const {
   if (original_ != nullptr) return original_->min_period();
   if (!min_period_) {
+    const Rational bound = iteration_bound();  // under its own span
     const ObsSpan span(SpanProfiler::process(), "facts.min_period");
-    min_period_ = min_period_retiming(*g_).period;
+    min_period_ = min_period_retiming(*g_, bound).period;
   }
   return *min_period_;
 }

@@ -9,7 +9,8 @@
 //   facts.cycle_ratio  the maximum cycle ratio (the iteration bound) with a
 //                      critical cycle attaining it (core/critical_cycle.hpp)
 //   facts.min_period   Φ_min, the smallest zero-delay critical path over all
-//                      legal retimings (core/retiming.hpp)
+//                      legal retimings, by FEAS probes floored by the
+//                      cycle ratio (core/retiming.hpp)
 //   facts.dag_timing   ASAP/ALAP timing of the zero-delay DAG
 //                      (core/graph_algo.hpp)
 //
@@ -63,7 +64,8 @@ public:
     return critical_cycle().ratio();
   }
 
-  /// Φ_min, the minimum clock period over all legal retimings.  The graph
+  /// Φ_min, the minimum clock period over all legal retimings.  Builds the
+  /// cycle ratio first: its iteration bound floors the search.  The graph
   /// must be legal (throws GraphError).
   [[nodiscard]] long long min_period() const;
 

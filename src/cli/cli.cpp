@@ -300,6 +300,8 @@ SolveRequest read_solve_flags(Args& args, const Topology& topo,
   }
   if (req.mode == SolveMode::kModulo && !opt.startup.pe_speeds.empty())
     throw UsageError{"--policy modulo does not support --speeds"};
+  if (req.mode == SolveMode::kModulo && opt.startup.pipelined_pes)
+    throw UsageError{"--policy modulo does not support --pipelined"};
   return req;
 }
 
@@ -440,7 +442,7 @@ int cmd_retime(Args& args, std::istream& in, std::ostream& out) {
   bool used_stdin = false;
   Csdfg g = parse_csdfg(slurp(args.positional()[0], in, used_stdin));
   args.reject_unknown();
-  const MinPeriodResult r = min_period_retiming(g);
+  const MinPeriodResult r = min_period_retiming(g, iteration_bound(g));
   r.retiming.apply(g);
   out << "# min-period retiming: clock period " << r.period << '\n'
       << serialize_csdfg(g);

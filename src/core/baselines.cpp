@@ -1,5 +1,6 @@
 #include "core/baselines.hpp"
 
+#include "core/iteration_bound.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/retiming.hpp"
 
@@ -23,7 +24,7 @@ CycloCompactionResult rotation_scheduling_no_comm(const Csdfg& g,
 RetimeThenScheduleResult retime_then_schedule(const Csdfg& g,
                                               const Topology& topo,
                                               const CommModel& comm) {
-  const MinPeriodResult mp = min_period_retiming(g);
+  const MinPeriodResult mp = min_period_retiming(g, iteration_bound(g));
   Csdfg retimed = g;
   mp.retiming.apply(retimed);
   ScheduleTable table = start_up_schedule(retimed, topo, comm);

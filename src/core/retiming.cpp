@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 #include "core/graph_algo.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
-#include "util/matrix.hpp"
 
 namespace ccs {
 
@@ -63,134 +61,131 @@ long long clock_period(const Csdfg& g) {
 
 namespace {
 
-constexpr long long kInf = std::numeric_limits<long long>::max() / 4;
-
-/// Difference-constraint system solved by Bellman–Ford: find x with
-/// x[b] - x[a] <= w for every constraint, or report infeasible.
-struct DifferenceConstraints {
-  struct C {
-    NodeId a, b;
-    long long w;
-  };
-  std::size_t n;
-  std::vector<C> cs;
-
-  /// Returns a feasible assignment, or std::nullopt-like empty vector with
-  /// `feasible=false`.
-  bool solve(std::vector<long long>& x) const {
-    x.assign(n, 0);  // virtual source with 0-weight edges to all nodes
-    for (std::size_t pass = 0; pass + 1 < n + 1; ++pass) {
-      bool changed = false;
-      for (const C& c : cs) {
-        if (x[c.a] + c.w < x[c.b]) {
-          x[c.b] = x[c.a] + c.w;
-          changed = true;
-        }
-      }
-      if (!changed) return true;
-    }
-    for (const C& c : cs)
-      if (x[c.a] + c.w < x[c.b]) return false;  // negative cycle
-    return true;
+/// Leiserson–Saxe FEAS ("Retiming synchronous circuitry", Algorithmica
+/// 1991) on one graph, in the paper's sign convention: where Leiserson–Saxe
+/// raise r(v), the paper's r(v) falls.  The scratch arrays are reused by
+/// every probe of one min_period_retiming call.
+class FeasProbe {
+public:
+  explicit FeasProbe(const Csdfg& g)
+      : g_(g), zero_in_(g.node_count()), delta_(g.node_count()) {
+    ready_.reserve(g.node_count());
   }
+
+  /// True iff some legal retiming has clock period <= c; `r` is then one.
+  /// From r = 0, each round computes Δ(v) and stops once max Δ <= c, else
+  /// sets r(v) -= 1 wherever Δ(v) > c.  A round stays legal: a zero-delay
+  /// edge u->v with Δ(u) > c has Δ(v) > c too, so v moves with u.
+  ///
+  /// Every move is forced: if r* <= 0 achieves c, r* <= r holds at the
+  /// start and after every move.  When Δ(v) > c, a path u ~> v of time > c
+  /// carries no delay under r but must carry one under r*; its delay under
+  /// r* is (r* - r)(u) - (r* - r)(v) >= 1, and (r* - r)(u) <= 0, so
+  /// r*(v) <= r(v) - 1.  So a feasible probe returns the greatest achieving
+  /// retiming with r <= 0, and, by Leiserson–Saxe, c is infeasible when
+  /// |V| - 1 rounds of moves have not reached it.
+  bool achieves(long long c, std::vector<long long>& r) {
+    const std::size_t n = g_.node_count();
+    r.assign(n, 0);
+    for (std::size_t round = 1;; ++round) {
+      ++rounds_;
+      if (longest_paths(r) <= c) return true;
+      if (round == n) return false;
+      for (NodeId v = 0; v < n; ++v)
+        if (delta_[v] > c) --r[v];
+    }
+  }
+
+  [[nodiscard]] long long rounds() const noexcept { return rounds_; }
+
+private:
+  /// Fills Δ(v), the time of the longest zero-delay path ending at v (v's
+  /// own time included) after retiming `r`, and returns max Δ.  Kahn's
+  /// order over the zero-delay edges: O(V + E).
+  long long longest_paths(const std::vector<long long>& r) {
+    std::fill(zero_in_.begin(), zero_in_.end(), 0);
+    for (EdgeId e = 0; e < g_.edge_count(); ++e) {
+      const Edge& edge = g_.edge(e);
+      if (edge.delay + r[edge.from] - r[edge.to] == 0) ++zero_in_[edge.to];
+    }
+    ready_.clear();
+    for (NodeId v = 0; v < g_.node_count(); ++v) {
+      delta_[v] = g_.node(v).time;
+      if (zero_in_[v] == 0) ready_.push_back(v);
+    }
+    long long longest = 0;
+    for (std::size_t head = 0; head < ready_.size(); ++head) {
+      const NodeId u = ready_[head];
+      longest = std::max(longest, delta_[u]);
+      for (const EdgeId e : g_.out_edges(u)) {
+        const Edge& edge = g_.edge(e);
+        if (edge.delay + r[u] - r[edge.to] != 0) continue;
+        delta_[edge.to] =
+            std::max(delta_[edge.to], delta_[u] + g_.node(edge.to).time);
+        if (--zero_in_[edge.to] == 0) ready_.push_back(edge.to);
+      }
+    }
+    // A legal retiming of a legal graph leaves no zero-delay cycle.
+    CCS_ASSERT(ready_.size() == g_.node_count());
+    return longest;
+  }
+
+  const Csdfg& g_;
+  std::vector<std::size_t> zero_in_;
+  std::vector<long long> delta_;
+  std::vector<NodeId> ready_;
+  long long rounds_ = 0;
 };
 
 }  // namespace
 
-MinPeriodResult min_period_retiming(const Csdfg& g) {
+MinPeriodResult min_period_retiming(const Csdfg& g,
+                                    const Rational& iteration_bound) {
   g.require_legal();
+  CCS_EXPECTS(iteration_bound.num >= 0 && iteration_bound.den > 0);
   const std::size_t n = g.node_count();
-  if (n == 0) return {Retiming(0), 0};
+  MinPeriodResult result{Retiming(n), 0};
+  if (n == 0) return result;
 
-  // W(u,v): minimum total delay over nonempty paths u ~> v.
-  // D(u,v): maximum total computation time (including both endpoints) over
-  // minimum-delay paths u ~> v.  Computed by Floyd–Warshall over the
-  // lexicographic weight (delay, -accumulated_time).
-  Matrix<long long> W(n, n, kInf);
-  Matrix<long long> D(n, n, std::numeric_limits<long long>::min() / 4);
-
-  for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
-    const Edge& e = g.edge(eid);
-    const long long w = e.delay;
-    const long long d =
-        static_cast<long long>(g.node(e.from).time) + g.node(e.to).time;
-    if (w < W(e.from, e.to) || (w == W(e.from, e.to) && d > D(e.from, e.to))) {
-      W(e.from, e.to) = w;
-      D(e.from, e.to) = d;
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (W(i, k) >= kInf) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (W(k, j) >= kInf) continue;
-        const long long w = W(i, k) + W(k, j);
-        // Paths i~>k and k~>j both count t(k); subtract one copy.
-        const long long d = D(i, k) + D(k, j) - g.node(k).time;
-        if (w < W(i, j) || (w == W(i, j) && d > D(i, j))) {
-          W(i, j) = w;
-          D(i, j) = d;
-        }
-      }
-    }
-  }
-
-  // Candidate periods: the distinct finite D values, plus the heaviest
-  // single node (no period can be smaller).
-  long long max_node_time = 0;
+  long long t_max = 0;
   for (NodeId v = 0; v < n; ++v)
-    max_node_time = std::max(max_node_time, static_cast<long long>(g.node(v).time));
-  std::set<long long> candidate_set{max_node_time};
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (W(i, j) < kInf && D(i, j) >= max_node_time)
-        candidate_set.insert(D(i, j));
-  std::vector<long long> candidates(candidate_set.begin(),
-                                    candidate_set.end());
+    t_max = std::max<long long>(t_max, g.node(v).time);
+  const long long ib_ceil = (iteration_bound.num + iteration_bound.den - 1) /
+                            iteration_bound.den;
+  // No period <= fail is achievable: every node and every cycle needs
+  // max(t_max, ⌈IB⌉).  r = 0 achieves pass, the input's own clock period.
+  long long fail = std::max(t_max, ib_ceil) - 1;
+  long long pass = clock_period(g);
+  CCS_EXPECTS(fail < pass);
 
-  // Feasibility of period c: a legal retiming exists with
-  //   r(v) - r(u) <= d(e)            for every edge u->v (legality), and
-  //   r(v) - r(u) <= W(u,v) - 1      whenever D(u,v) > c
-  // (the sign-flipped Leiserson–Saxe conditions; see header).
-  auto build = [&](long long c) {
-    DifferenceConstraints sys;
-    sys.n = n;
-    for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
-      const Edge& e = g.edge(eid);
-      sys.cs.push_back({e.from, e.to, e.delay});
+  FeasProbe feas(g);
+  std::vector<long long> r;
+  std::vector<long long> best(n, 0);
+  const auto probe = [&](long long c) {
+    if (c <= fail || c >= pass) return;
+    ++result.probes;
+    if (feas.achieves(c, r)) {
+      pass = c;
+      best.swap(r);
+    } else {
+      fail = c;
     }
-    for (std::size_t u = 0; u < n; ++u)
-      for (std::size_t v = 0; v < n; ++v)
-        if (u != v && W(u, v) < kInf && D(u, v) > c)
-          sys.cs.push_back({u, v, W(u, v) - 1});
-    return sys;
   };
+  // An infeasible probe runs all |V| - 1 rounds of moves, so probe where
+  // Φ_min usually is: at the floor, which most graphs meet, and at
+  // ⌈IB⌉ + t_max, which no graph tried has exceeded.
+  probe(fail + 1);
+  probe(ib_ceil + t_max);
+  while (pass - fail > 1) probe(fail + (pass - fail) / 2);
 
-  std::vector<long long> x;
-  std::size_t lo = 0, hi = candidates.size() - 1;
-  // The largest candidate is always feasible (it is at least the identity
-  // retiming's period bound: with no D > c constraints, r = 0 works).
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (build(candidates[mid]).solve(x))
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-
-  const long long best = candidates[lo];
-  const bool ok = build(best).solve(x);
-  CCS_ASSERT(ok);
-
-  Retiming r(n);
-  for (NodeId v = 0; v < n; ++v) r.set(v, x[v]);
-  CCS_ENSURES(r.is_legal_for(g));
-
+  for (NodeId v = 0; v < n; ++v) result.retiming.set(v, best[v]);
+  result.period = pass;
+  result.rounds = feas.rounds();
+  CCS_ENSURES(result.retiming.is_legal_for(g));
   Csdfg retimed = g;
-  r.apply(retimed);
-  const long long achieved = clock_period(retimed);
-  CCS_ENSURES(achieved <= best);
-  return {r, achieved};
+  result.retiming.apply(retimed);
+  CCS_ENSURES(clock_period(retimed) == pass);
+  return result;
 }
 
 }  // namespace ccs

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/csdfg.hpp"
+#include "core/iteration_bound.hpp"
 
 namespace ccs {
 
@@ -71,20 +72,30 @@ private:
 
 /// Result of min-period retiming.
 struct MinPeriodResult {
-  Retiming retiming;  ///< A legal retiming achieving `period`.
+  /// The greatest legal retiming with r <= 0 that achieves `period`.
+  Retiming retiming;
   long long period = 0;  ///< The minimum achievable clock period.
+  int probes = 0;  ///< FEAS probes run, one per candidate period.
+  long long rounds = 0;  ///< Longest-path rounds over all probes.
 };
 
 /// Leiserson–Saxe minimum-period retiming, adapted to node-weighted CSDFGs
-/// and the paper's sign convention.  Computes the W/D path matrices
-/// (Floyd–Warshall over (delay, -time) lexicographic weights), binary
-/// searches the achievable period over the distinct D values, and solves the
-/// resulting difference constraints with Bellman–Ford.
+/// and the paper's sign convention.  Searches the integer period c from
+/// max(t_max, ⌈IB⌉) up to the input's clock period, which r = 0 achieves,
+/// with Leiserson–Saxe FEAS probes: from r = 0, each round computes every
+/// node's longest zero-delay path Δ(v) in O(V + E) and sets r(v) -= 1
+/// wherever Δ(v) > c, until max Δ <= c (feasible) or |V| - 1 rounds of
+/// moves fall short (infeasible).  The floor is probed first, ⌈IB⌉ + t_max
+/// next, then the search bisects.
 ///
-/// O(V^3 + V·E·log V).  Used both as a substrate (rotation is incremental
-/// retiming) and as the "retime-then-schedule" baseline in the benches.
+/// O(probes · V · (V + E)) at worst; a feasible probe usually stops after
+/// a few rounds.  `iteration_bound` must be g's iteration bound
+/// (max_cycle_ratio): a larger one makes the floor unsound.  Used both as
+/// a substrate (rotation is incremental retiming) and as the
+/// "retime-then-schedule" baseline in the benches.
 ///
 /// Throws GraphError if `g` is illegal.
-[[nodiscard]] MinPeriodResult min_period_retiming(const Csdfg& g);
+[[nodiscard]] MinPeriodResult min_period_retiming(
+    const Csdfg& g, const Rational& iteration_bound);
 
 }  // namespace ccs

@@ -99,6 +99,8 @@ void solve_modulo(const SolveRequest& request, const Topology& topo,
                   const CommModel& comm, SolveResponse& res) {
   if (!request.options.startup.pe_speeds.empty())
     throw Error("mode kModulo does not support per-PE speeds");
+  if (request.options.startup.pipelined_pes)
+    throw Error("mode kModulo does not support pipelined PEs");
   ModuloScheduleResult mod = modulo_schedule(request.graph, topo, comm);
   res.graph = std::move(mod.retimed_graph);
   res.retiming = mod.retiming;
@@ -130,11 +132,23 @@ void solve_portfolio(const SolveRequest& request, const GraphFacts& facts,
 }
 
 void solve_certify(const SolveRequest& request, const GraphFacts& facts,
-                   const CommModel& comm, SolveResponse& res) {
+                   const Topology& topo, const CommModel& comm,
+                   SolveResponse& res) {
   if (!request.schedule.has_value())
     throw Error("mode kCertify needs request.schedule");
   res.schedule = request.schedule;
   res.best_length = res.schedule->length();
+  if (res.schedule->num_pes() != topo.size()) {
+    // As certify_schedule: the machine cannot price a table built for
+    // another processor count.
+    res.diagnostics.add("CCS-S001", SourceSpan{"solver/certify", 0},
+                        "schedule declares " +
+                            std::to_string(res.schedule->num_pes()) +
+                            " processor(s) but architecture '" + topo.name() +
+                            "' has " + std::to_string(topo.size()));
+    res.status = SolveStatus::kUncertified;
+    return;
+  }
   res.certified = certify_table(facts, *request.schedule, comm,
                                 "solver/certify", res.diagnostics,
                                 request.certify_options);
@@ -313,7 +327,7 @@ SolveResponse Solver::solve(const SolveRequest& request) const {
         solve_portfolio(request, facts, topo, comm, obs_, res);
         break;
       case SolveMode::kCertify:
-        solve_certify(request, facts, comm, res);
+        solve_certify(request, facts, topo, comm, res);
         break;
       case SolveMode::kRepair:
         solve_repair(request, topo, comm, obs_, res);
@@ -328,6 +342,7 @@ SolveResponse Solver::solve(const SolveRequest& request) const {
     // portfolio (which prunes with it) carry it, usually a fold over facts
     // built by then; other uncertified answers stay at 0 / -1.
     if (request.mode != SolveMode::kRepair && res.schedule.has_value() &&
+        res.schedule->num_pes() == topo.size() &&
         (res.status == SolveStatus::kOk ||
          res.status == SolveStatus::kUncertified) &&
         (request.certify || request.mode == SolveMode::kCertify ||

@@ -54,11 +54,14 @@ enum class SolveMode {
   kStartup,
   /// The serial cyclo-compaction driver (Section 4) — the default.
   kSchedule,
-  /// Iterative modulo scheduling baseline (no --speeds support).
+  /// Iterative modulo scheduling baseline (no per-PE speeds, no pipelined
+  /// PEs).
   kModulo,
   /// The parallel portfolio engine (engine/portfolio.hpp).
   kPortfolio,
-  /// Certify a caller-supplied schedule instead of producing one.
+  /// Certify a caller-supplied schedule instead of producing one.  A table
+  /// for another processor count than the machine's is CCS-S001,
+  /// uncertified.
   kCertify,
   /// Repair the schedule against a fault spec (robust/repair.hpp).
   kRepair,
@@ -141,8 +144,8 @@ struct SolveResponse {
   /// so it holds for the retimed schedules compaction produces.  One
   /// compute_bounds over the request graph's facts, which the solve has
   /// usually built by then.  0 when no schedule was produced, for uncertified
-  /// answers other than kPortfolio, and for kRepair (the machine shrinks
-  /// mid-solve).
+  /// answers other than kPortfolio, for a kCertify table built for another
+  /// processor count, and for kRepair (the machine shrinks mid-solve).
   int lower_bound = 0;
   /// The CCS-B pass that attains lower_bound ("CCS-B004", ...) and its
   /// human-readable witness; empty when lower_bound is 0.  The witness

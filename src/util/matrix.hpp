@@ -1,7 +1,7 @@
 // ccsched — minimal dense row-major matrix.
 //
-// Used for hop-distance tables, path-weight matrices (Leiserson–Saxe W/D),
-// and schedule occupancy grids.  Value-semantic, bounds-checked through
+// Used for hop-distance tables, the Leiserson–Saxe W/D path-weight
+// matrices of the test referee, and schedule occupancy grids.  Value-semantic, bounds-checked through
 // contracts, no external dependencies.
 #pragma once
 

@@ -4,6 +4,7 @@
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/baselines.hpp"
+#include "core/iteration_bound.hpp"
 #include "core/retiming.hpp"
 #include "core/validator.hpp"
 #include "sim/executor.hpp"
@@ -51,7 +52,8 @@ TEST_F(BaselineTest, RetimeThenScheduleIsValidUnderTrueModel) {
   const auto res = retime_then_schedule(g_, mesh_, comm_);
   EXPECT_TRUE(res.table.complete());
   EXPECT_TRUE(validate_schedule(res.retimed_graph, res.table, comm_).ok());
-  EXPECT_EQ(res.min_period, min_period_retiming(g_).period);
+  EXPECT_EQ(res.min_period,
+            min_period_retiming(g_, iteration_bound(g_)).period);
   EXPECT_EQ(clock_period(res.retimed_graph), res.min_period);
 }
 

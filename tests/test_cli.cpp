@@ -134,6 +134,24 @@ TEST(Cli, SchedulePolicyAndPassesAreHonored) {
   EXPECT_EQ(bad.code, 2);
 }
 
+// The modulo scheduler builds one homogeneous, non-pipelined table: the
+// flags that would describe another machine are refused, not ignored.
+TEST(Cli, ModuloPolicyRefusesPipelinedAndSpeeds) {
+  const CliResult pipelined =
+      cli({"schedule", "-", "--arch", "complete 4", "--policy", "modulo",
+           "--pipelined"},
+          kDemo);
+  EXPECT_EQ(pipelined.code, 2);
+  EXPECT_NE(pipelined.err.find("--pipelined"), std::string::npos)
+      << pipelined.err;
+  const CliResult speeds =
+      cli({"schedule", "-", "--arch", "complete 4", "--policy", "modulo",
+           "--speeds", "1,2,1,1"},
+          kDemo);
+  EXPECT_EQ(speeds.code, 2);
+  EXPECT_NE(speeds.err.find("--speeds"), std::string::npos) << speeds.err;
+}
+
 TEST(Cli, ScheduleValidateSimulateRoundTrip) {
   // schedule --emit-* produces artifacts that validate and simulate.
   const std::string paper = serialize_csdfg(paper_example6());

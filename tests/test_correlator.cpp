@@ -38,7 +38,7 @@ TEST(Correlator, MinPeriodRetimingCollapsesTheChain) {
   // cycle host->c1->a1->host: t = 11 over d = 1.
   const Csdfg g = correlator(3);
   EXPECT_EQ(iteration_bound(g), (Rational{11, 1}));
-  const MinPeriodResult r = min_period_retiming(g);
+  const MinPeriodResult r = min_period_retiming(g, iteration_bound(g));
   EXPECT_GE(r.period, 11);
   EXPECT_LE(r.period, 14);
   Csdfg retimed = g;

@@ -25,6 +25,7 @@
 #include "core/iteration_bound.hpp"
 #include "core/retiming.hpp"
 #include "io/text_format.hpp"
+#include "min_period_referee.hpp"
 #include "obs/span.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"
@@ -70,7 +71,7 @@ TEST(GraphFacts, EachFactIsBuiltOnce) {
   EXPECT_EQ(spans.at("facts.dag_timing"), 1u);
   EXPECT_EQ(spans.at("bounds"), 3u);
   EXPECT_EQ(facts.iteration_bound(), iteration_bound(g));
-  EXPECT_EQ(facts.min_period(), min_period_retiming(g).period);
+  EXPECT_EQ(facts.min_period(), referee::min_period_retiming(g).period);
   EXPECT_EQ(facts.dag_timing().critical_path,
             compute_dag_timing(g).critical_path);
 }
@@ -98,7 +99,7 @@ TEST(GraphFacts, RetimedViewInheritsCycleRatioAndMinPeriod) {
   // The inherited facts are exact for the retimed graph.
   EXPECT_EQ(retimed.iteration_bound(), iteration_bound(run.retimed_graph));
   EXPECT_EQ(retimed.min_period(),
-            min_period_retiming(run.retimed_graph).period);
+            referee::min_period_retiming(run.retimed_graph).period);
   EXPECT_EQ(retimed.critical_cycle().ratio(),
             critical_cycle(run.retimed_graph).ratio());
   EXPECT_EQ(retimed.dag_timing().critical_path,

@@ -1,11 +1,31 @@
 // Unit tests for the retiming engine (paper sign convention) and the
 // Leiserson–Saxe minimum-period substrate.
+//
+// The differential holds min_period_retiming's FEAS probes to the W/D
+// referee (tests/min_period_referee.hpp): the same Φ_min and the same
+// retiming, legal and achieving it, on the 8 library bodies, their
+// compacted retimed graphs on the five paper machines and 640 random
+// graphs of 4-63 nodes with times up to 9.  The scale tests pin the probe
+// counts on the bench's generated graphs and run `analyze` on a 4k-node
+// graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "arch/comm_model.hpp"
+#include "cli/cli.hpp"
+#include "core/cyclo_compaction.hpp"
 #include "core/graph_algo.hpp"
 #include "core/iteration_bound.hpp"
 #include "core/retiming.hpp"
+#include "io/text_format.hpp"
+#include "min_period_referee.hpp"
+#include "test_graphs.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workloads/library.hpp"
 #include "workloads/transforms.hpp"
 
@@ -116,7 +136,7 @@ TEST(MinPeriod, ClassicTwoNodePipeline) {
   g.add_node("b", 10);
   g.add_edge(0, 1, 0, 1);
   g.add_edge(1, 0, 2, 1);
-  const MinPeriodResult r = min_period_retiming(g);
+  const MinPeriodResult r = min_period_retiming(g, iteration_bound(g));
   EXPECT_EQ(r.period, 10);
   Csdfg retimed = g;
   r.retiming.apply(retimed);
@@ -128,7 +148,7 @@ TEST(MinPeriod, PaperExampleReachesFour) {
   // achievable clock period: retime A (period 5) and further?  Verify the
   // algorithm and that the result is legal and consistent.
   const Csdfg g = paper_example6();
-  const MinPeriodResult r = min_period_retiming(g);
+  const MinPeriodResult r = min_period_retiming(g, iteration_bound(g));
   EXPECT_TRUE(r.retiming.is_legal_for(g));
   Csdfg retimed = g;
   r.retiming.apply(retimed);
@@ -143,7 +163,7 @@ TEST(MinPeriod, NeverWorseThanIdentityAcrossLibrary) {
   for (const Csdfg& g : {paper_example6(), paper_example19(),
                          elliptic_filter(), lattice_filter(),
                          iir_biquad_cascade(2), diffeq_solver()}) {
-    const MinPeriodResult r = min_period_retiming(g);
+    const MinPeriodResult r = min_period_retiming(g, iteration_bound(g));
     EXPECT_TRUE(r.retiming.is_legal_for(g)) << g.name();
     Csdfg retimed = g;
     r.retiming.apply(retimed);
@@ -164,8 +184,9 @@ TEST(MinPeriod, SlowdownEnablesShorterPeriods) {
   // c-slowing a graph divides its iteration bound by c, letting min-period
   // retiming pipeline deeper: the retimed period must not increase.
   const Csdfg g = elliptic_filter();
-  const long long p1 = min_period_retiming(g).period;
-  const long long p3 = min_period_retiming(slowdown(g, 3)).period;
+  const long long p1 = min_period_retiming(g, iteration_bound(g)).period;
+  const Csdfg slow = slowdown(g, 3);
+  const long long p3 = min_period_retiming(slow, iteration_bound(slow)).period;
   EXPECT_LE(p3, p1);
 }
 
@@ -175,7 +196,108 @@ TEST(MinPeriod, RejectsIllegalGraphs) {
   g.add_node("b", 1);
   g.add_edge(0, 1, 0, 1);
   g.add_edge(1, 0, 0, 1);
-  EXPECT_THROW((void)min_period_retiming(g), GraphError);
+  EXPECT_THROW((void)min_period_retiming(g, Rational{0, 1}), GraphError);
+}
+
+/// The floor FEAS starts from: max(t_max, ⌈IB⌉).
+long long period_floor(const Csdfg& g) {
+  long long t_max = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v)
+    t_max = std::max<long long>(t_max, g.node(v).time);
+  const Rational b = iteration_bound(g);
+  return std::max(t_max, (b.num + b.den - 1) / b.den);
+}
+
+/// FEAS against the W/D referee: the same period, and a legal retiming
+/// that achieves it.  The retiming is the referee's too: both return the
+/// greatest achieving retiming with r <= 0, FEAS because every move is
+/// forced and the referee as Bellman–Ford distances from a 0 source.
+/// Returns FEAS's result.
+MinPeriodResult expect_matches_referee(const Csdfg& g,
+                                       const std::string& what) {
+  const MinPeriodResult fast = min_period_retiming(g, iteration_bound(g));
+  const MinPeriodResult slow = referee::min_period_retiming(g);
+  EXPECT_EQ(fast.period, slow.period) << what;
+  EXPECT_EQ(fast.retiming, slow.retiming) << what;
+  EXPECT_TRUE(fast.retiming.is_legal_for(g)) << what;
+  Csdfg retimed = g;
+  fast.retiming.apply(retimed);
+  EXPECT_EQ(clock_period(retimed), fast.period) << what;
+  EXPECT_GE(fast.period, period_floor(g)) << what;
+  return fast;
+}
+
+Csdfg compacted(const Csdfg& g, const Topology& topo) {
+  const StoreAndForwardModel comm(topo);
+  return cyclo_compact(g, topo, comm, {}).retimed_graph;
+}
+
+TEST(MinPeriod, MatchesRefereeOnLibraryWorkloads) {
+  for (const auto& [name, g] : test_graphs::library_workloads())
+    (void)expect_matches_referee(g, name);
+}
+
+TEST(MinPeriod, MatchesRefereeOnCompactedRetimedGraphs) {
+  const std::vector<Topology> machines = test_graphs::paper_machines();
+  for (const auto& [name, g] : test_graphs::library_workloads())
+    for (const Topology& topo : machines)
+      (void)expect_matches_referee(compacted(g, topo),
+                                   name + "@" + topo.name());
+}
+
+TEST(MinPeriod, MatchesRefereeOnRandomGraphs) {
+  Rng rng(20261019);
+  int above_floor = 0;
+  for (int i = 0; i < 640; ++i) {
+    RandomDfgConfig cfg;
+    cfg.num_nodes = rng.uniform_size(4, 63);
+    cfg.num_layers = rng.uniform_size(1, cfg.num_nodes);
+    cfg.extra_edge_prob = rng.uniform01() * 0.5;
+    cfg.num_back_edges = rng.uniform_size(0, cfg.num_nodes / 2 + 1);
+    cfg.max_time = 9;
+    cfg.max_delay = rng.uniform_int(1, 5);
+    const Csdfg g = random_csdfg(cfg, 5000 + static_cast<std::uint64_t>(i));
+    const MinPeriodResult r =
+        expect_matches_referee(g, "random #" + std::to_string(i));
+    if (r.period > period_floor(g)) ++above_floor;
+  }
+  // Graphs whose Φ_min sits above the floor make FEAS run infeasible
+  // probes; the sweep must contain enough of them to test that path (53
+  // when this sweep was written).
+  EXPECT_GE(above_floor, 40);
+}
+
+TEST(MinPeriod, InfeasibleFloorFallsBackToTheSearch) {
+  // correlator(3): the host loop floors the period at ⌈IB⌉ = 11, but no
+  // retiming reaches it, so the first probe fails and the search goes on
+  // above it.
+  const Csdfg g = correlator(3);
+  ASSERT_EQ(period_floor(g), 11);
+  const MinPeriodResult r = expect_matches_referee(g, "correlator3");
+  EXPECT_GT(r.period, 11);
+  EXPECT_GE(r.probes, 2);
+  EXPECT_GT(r.rounds, r.probes);
+}
+
+TEST(MinPeriodScale, ProbeCountsStayLowOnGeneratedGraphs) {
+  for (const std::size_t n : {1024u, 4096u}) {
+    const Csdfg g = test_graphs::graph_of_size(n);
+    const MinPeriodResult r = min_period_retiming(g, iteration_bound(g));
+    // The floor is met, so one feasible probe of a few rounds decides.
+    EXPECT_EQ(r.period, period_floor(g)) << n;
+    EXPECT_EQ(r.probes, 1) << n;
+    EXPECT_LE(r.rounds, 4) << n;
+  }
+}
+
+TEST(MinPeriodScale, AnalyzeOnAFourThousandNodeGraphRunsInProcess) {
+  const Csdfg g = test_graphs::graph_of_size(4096);
+  std::istringstream in(serialize_csdfg(g));
+  std::ostringstream out, err;
+  const int code =
+      run_cli({"analyze", "--arch", "mesh 4 2", "-"}, in, out, err);
+  EXPECT_EQ(code, 0) << err.str();
+  EXPECT_NE(out.str().find("CCS-B006"), std::string::npos) << out.str();
 }
 
 }  // namespace

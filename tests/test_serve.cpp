@@ -4,10 +4,13 @@
 // test up (tools/check.sh) — the soak test below is the data-race hammer.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/canon.hpp"
 #include "analysis/certify.hpp"
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
@@ -18,6 +21,7 @@
 #include "io/text_format.hpp"
 #include "obs/trace_reader.hpp"
 #include "serve/service.hpp"
+#include "test_graphs.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {
@@ -205,6 +209,26 @@ TEST(Serve, LadderDegradesWithRemainingAllowance) {
   EXPECT_EQ(r.summary.degraded, 3);
 }
 
+TEST(Serve, ModuloRefusesPipelinedAndSpeeds) {
+  SolveCache::global().clear();
+  ServeOptions o;
+  const ServeRun r = run(
+      solve_line("pipelined", kGraphA,
+                 ",\"mode\":\"modulo\",\"pipelined\":true") +
+          "\n" +
+          solve_line("speeds", kGraphA,
+                     ",\"mode\":\"modulo\",\"speeds\":[1,2]") +
+          "\n" + solve_line("plain", kGraphA, ",\"mode\":\"modulo\"") +
+          "\n",
+      o);
+  ASSERT_EQ(r.responses.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(field(r.responses[i], "status"), "error") << r.responses[i];
+    EXPECT_EQ(field(r.responses[i], "code"), "CCS-E001") << r.responses[i];
+  }
+  EXPECT_EQ(field(r.responses[2], "status"), "ok") << r.responses[2];
+}
+
 // `emit` returns the persistable artifacts on every rung that produces a
 // schedule, not only the compacting ones: a start-up request and a request
 // the ladder degrades to the list rung both come back with a graph and a
@@ -365,15 +389,17 @@ TEST(Serve, AnswersThatReachTheirBoundArePublished) {
 }
 
 // A portfolio that also stops itself at its bound, but is drained mid-solve:
-// a 1000-step self-loop task (bound 1000) beside a 400-task chain, so the
-// start-up schedule already meets the bound, while the O(V^3) CCS-B006
-// floor keeps the solve busy well past the 30 ms drain.  The answer still
-// reads "preempted" with gap 0, but the drain fired before solve()
-// returned, so it is not published.
+// a 3000-step self-loop task (bound 3000) beside a 1200-task chain, so the
+// start-up schedule already meets the bound, while the cache probe's
+// fingerprint of the long chain and the start-up list schedules, which
+// walk every control step, keep the request busy (0.2-0.3 s in an
+// optimized build) well past the 30 ms drain.  The answer still reads
+// "preempted" with gap 0, but the drain fired before solve() returned, so
+// it is not published.
 TEST(Serve, DrainPreemptedAnswersAreNotPublished) {
   SolveCache::global().clear();
-  std::string slow = "graph slow\nnode big 1000\nedge big big 1 1\n";
-  for (int i = 0; i < 400; ++i) {
+  std::string slow = "graph slow\nnode big 3000\nedge big big 1 1\n";
+  for (int i = 0; i < 1200; ++i) {
     slow += "node c" + std::to_string(i) + " 1\n";
     if (i > 0)
       slow += "edge c" + std::to_string(i - 1) + " c" + std::to_string(i) +
@@ -446,6 +472,46 @@ TEST(ServeSoak, ThousandMixedRequestsAllAnswered) {
   EXPECT_LE(SolveCache::global().stats().entries, 8u);
   SolveCache::global().set_capacity(SolveCache::kDefaultCapacity);
   SolveCache::global().clear();
+}
+
+/// Milliseconds since `start` on the real clock.
+long long ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// A deadline bounds when the answer arrives, also on a 1k-node graph: the
+// 3 ms request comes back on the bound-only rung and the 200 ms request on
+// the compact rung.  Before any rung runs, serve parses the graph and
+// fingerprints it for the cache probe, which no deadline can cut short; on
+// this graph that alone outlasts 3 ms.  So each answer must arrive within
+// 5x its deadline plus that reading time, measured here on the same build,
+// which also scales the bound for sanitizer and unoptimized builds.
+TEST(ServeScale, DeadlinesHoldOnAThousandNodeGraph) {
+  const std::string text = serialize_csdfg(test_graphs::graph_of_size(1024));
+  const auto read_start = std::chrono::steady_clock::now();
+  (void)canonicalize(parse_csdfg(text));
+  const long long read_ms = ms_since(read_start);
+  ServeOptions o;
+  o.full_ms = 1000;  // 200 ms always lands on the compact rung
+  for (const auto& [deadline_ms, rung] :
+       {std::pair<long long, std::string>{3, "bound-only"},
+        std::pair<long long, std::string>{200, "compact"}}) {
+    SolveCache::global().clear();
+    const std::string line =
+        "{\"op\":\"solve\",\"id\":\"big\",\"graph\":\"" + jesc(text) +
+        "\",\"arch\":\"mesh 4 2\",\"deadline_ms\":" +
+        std::to_string(deadline_ms) + "}\n";
+    const auto start = std::chrono::steady_clock::now();
+    const ServeRun r = run(line, o);
+    const long long elapsed_ms = ms_since(start);
+    ASSERT_EQ(r.responses.size(), 1u) << r.err;
+    EXPECT_EQ(field(r.responses[0], "degraded"), rung) << r.responses[0];
+    EXPECT_NE(field(r.responses[0], "lower_bound"), "0") << r.responses[0];
+    EXPECT_LE(elapsed_ms, 5 * (deadline_ms + read_ms))
+        << rung << ", reading took " << read_ms << " ms";
+  }
 }
 
 TEST(ServeCodec, RendersDeterministicResponseLines) {

@@ -179,6 +179,22 @@ TEST(SolverApi, ModuloModeRejectsSpeeds) {
   EXPECT_TRUE(ok.schedule.has_value());
 }
 
+// The modulo scheduler builds a non-pipelined table: a pipelined request
+// is refused, not answered with a table of another machine.
+TEST(SolverApi, ModuloModeRejectsPipelinedPes) {
+  Solver solver;
+  SolveRequest req;
+  req.graph = paper_example6();
+  req.arch = "mesh 2 2";
+  req.mode = SolveMode::kModulo;
+  req.options.startup.pipelined_pes = true;
+  const SolveResponse res = solver.solve(req);
+  EXPECT_EQ(res.status, SolveStatus::kInvalidRequest);
+  EXPECT_TRUE(has_code(res.diagnostics, "CCS-E001"))
+      << render_text(res.diagnostics);
+  EXPECT_FALSE(res.schedule.has_value());
+}
+
 TEST(SolverApi, PortfolioModeReportsProvenance) {
   Solver solver;
   SolveRequest req;
@@ -277,6 +293,37 @@ TEST(SolverApi, CertifyModeBoundsTheTablesOwnMachine) {
   EXPECT_EQ(res.bound_pass, made.bound_pass);
   EXPECT_LE(res.lower_bound, res.best_length);
   EXPECT_EQ(res.gap, res.best_length - res.lower_bound);
+}
+
+// A 4-PE table certified on a 2-PE machine is a finding about the
+// request (CCS-S001, as certify_schedule reports a file's processor
+// count), not a broken precondition of the communication model.
+TEST(SolverApi, CertifyModeFlagsATableForMoreProcessors) {
+  const Csdfg g = parse_csdfg(
+      "graph g\nnode a 3\nnode b 3\nedge a b 0 1\nedge b a 1 1\n");
+  Solver solver;
+  SolveRequest produce;
+  produce.graph = g;
+  produce.arch = "mesh 2 2";
+  produce.mode = SolveMode::kStartup;
+  const SolveResponse made = solver.solve(produce);
+  ASSERT_TRUE(made.ok()) << render_text(made.diagnostics);
+  ASSERT_EQ(made.schedule->num_pes(), 4u);
+
+  SolveRequest check;
+  check.graph = g;
+  check.arch = "linear_array 2";
+  check.mode = SolveMode::kCertify;
+  check.schedule = made.schedule;
+  const SolveResponse res = solver.solve(check);
+  EXPECT_EQ(res.status, SolveStatus::kUncertified)
+      << render_text(res.diagnostics);
+  EXPECT_FALSE(res.certified);
+  EXPECT_TRUE(has_code(res.diagnostics, "CCS-S001"))
+      << render_text(res.diagnostics);
+  EXPECT_FALSE(has_code(res.diagnostics, "CCS-E001"));
+  EXPECT_EQ(res.lower_bound, 0);
+  ASSERT_TRUE(res.schedule.has_value());  // echoed, as for any kCertify
 }
 
 TEST(SolverApi, RepairModeWalksTheLadder) {
