@@ -6,13 +6,16 @@
 // paper-sized inputs and stays polynomial as |V| and P scale.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <optional>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/critical_cycle.hpp"
 #include "core/iteration_bound.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/retiming.hpp"
+#include "io/text_format.hpp"
 #include "workloads/generator.hpp"
 
 namespace {
@@ -122,6 +125,23 @@ BENCHMARK(BM_MinPeriodRetiming)
     ->RangeMultiplier(4)
     ->Range(16, 4096)
     ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
+/// Times the strict graph reader on the serialized text of
+/// graph_of_size(nodes): every CLI call and serve request parses its graph
+/// before any other stage runs.
+void BM_ParseCsdfg(benchmark::State& state) {
+  const std::string text = serialize_csdfg(
+      graph_of_size(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) benchmark::DoNotOptimize(parse_csdfg(text));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ParseCsdfg)
+    ->RangeMultiplier(4)
+    ->Range(16, 16384)
+    ->Unit(benchmark::kMicrosecond)
     ->Complexity();
 
 /// The compacted retimed graph of graph_of_size(nodes) on mesh 4 2: the

@@ -11,11 +11,13 @@
 #include "analysis/bounds.hpp"
 #include "core/unfold_schedule.hpp"
 #include "core/unfolding.hpp"
+#include "core/validator.hpp"
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 #include "util/error.hpp"
+#include "util/lines.hpp"
 
 namespace ccs {
 
@@ -35,14 +37,6 @@ private:
   std::size_t before_;
 };
 
-/// One resolved placement with the span that asserted it.
-struct NormPlacement {
-  NodeId v = 0;
-  std::size_t pe = 0;  ///< 0-based.
-  int cb = 0;
-  SourceSpan span;
-};
-
 /// The certifier's own view of a schedule: nothing here came from
 /// ScheduleTable's grid or the strict parser — every derived quantity
 /// below is recomputed from these raw facts.
@@ -50,20 +44,27 @@ struct NormSchedule {
   int length = 0;
   bool pipelined = false;
   std::vector<int> speeds;            ///< One per processor.
-  std::vector<NormPlacement> places;  ///< At most one per task.
-  SourceSpan whole;                   ///< The artifact as a whole.
-  SourceSpan length_span;             ///< Where the length was declared.
+  std::vector<ResolvedPlacement> places;  ///< At most one per task.
+  SourceSpan whole;                       ///< The artifact as a whole.
+  SourceSpan length_span;                 ///< Where the length was declared.
+
+  /// Where placement `p` was asserted (the whole artifact for a table).
+  [[nodiscard]] SourceSpan span(const ResolvedPlacement& p) const {
+    return {whole.file, p.line};
+  }
 };
 
-std::string step_range(int cb, int ce) {
+std::string step_range(int cb, long long ce) {
   std::ostringstream os;
   os << "steps [" << cb << "," << ce << "]";
   return os.str();
 }
 
-/// CE(v) for a placement: CB + t(v) * speed(PE) - 1.
-int end_step(const Csdfg& g, const NormSchedule& s, const NormPlacement& p) {
-  return p.cb + g.node(p.v).time * s.speeds[p.pe] - 1;
+/// CE(v) for a placement: CB + t(v) * speed(PE) - 1, in 64 bits (a time
+/// and a speed factor are each up to INT_MAX).
+long long end_step(const Csdfg& g, const NormSchedule& s,
+                   const ResolvedPlacement& p) {
+  return p.cb + static_cast<long long>(g.node(p.v).time) * s.speeds[p.pe] - 1;
 }
 
 /// The master-constraint checks shared by the file and table paths:
@@ -80,31 +81,35 @@ void check_norm(const Csdfg& g, const NormSchedule& s, const CommModel& comm,
       bag.add("CCS-S002", s.whole,
               "task '" + g.node(v).name + "' is not in the table");
 
-  for (const NormPlacement& p : s.places) {
-    const int ce = end_step(g, s, p);
+  for (const ResolvedPlacement& p : s.places) {
+    const long long ce = end_step(g, s, p);
     if (p.cb < 1 || ce > s.length) {
       std::ostringstream os;
       os << "task '" << g.node(p.v).name << "' occupies "
          << step_range(p.cb, ce) << " outside the table of length "
          << s.length;
-      bag.add("CCS-S003", p.span, os.str());
+      bag.add("CCS-S003", s.span(p), os.str());
     }
   }
 
+  // Exclusivity is checked on the table's rows: a step outside them is an
+  // S003 finding already, and stopping there bounds the walk however long
+  // the task or far off its start.
   std::map<std::pair<std::size_t, int>, std::size_t> occupancy;
   for (std::size_t i = 0; i < s.places.size(); ++i) {
-    const NormPlacement& p = s.places[i];
-    const int span = s.pipelined ? 1 : g.node(p.v).time * s.speeds[p.pe];
-    for (int cs = p.cb; cs < p.cb + span; ++cs) {
+    const ResolvedPlacement& p = s.places[i];
+    const long long last = std::min<long long>(
+        s.pipelined ? p.cb : end_step(g, s, p), s.length);
+    for (int cs = std::max(p.cb, 1); cs <= last; ++cs) {
       auto [it, inserted] = occupancy.insert({{p.pe, cs}, i});
       if (!inserted) {
-        const NormPlacement& other = s.places[it->second];
+        const ResolvedPlacement& other = s.places[it->second];
         std::ostringstream os;
         os << "tasks '" << g.node(other.v).name << "' and '"
            << g.node(p.v).name << "' both "
            << (s.pipelined ? "issue on" : "occupy") << " PE" << p.pe + 1
            << " at step " << cs;
-        bag.add(s.pipelined ? "CCS-S005" : "CCS-S004", p.span, os.str());
+        bag.add(s.pipelined ? "CCS-S005" : "CCS-S004", s.span(p), os.str());
         break;  // one finding per colliding pair, not per shared step
       }
     }
@@ -113,8 +118,8 @@ void check_norm(const Csdfg& g, const NormSchedule& s, const CommModel& comm,
   for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
     const Edge& e = g.edge(eid);
     if (!at[e.from] || !at[e.to]) continue;
-    const NormPlacement& pu = s.places[*at[e.from]];
-    const NormPlacement& pv = s.places[*at[e.to]];
+    const ResolvedPlacement& pu = s.places[*at[e.from]];
+    const ResolvedPlacement& pv = s.places[*at[e.to]];
     const long long k = e.delay;
     const long long ce_u = end_step(g, s, pu);
     const long long cb_v = pv.cb;
@@ -126,7 +131,7 @@ void check_norm(const Csdfg& g, const NormSchedule& s, const CommModel& comm,
        << " (delay " << k << ", volume " << e.volume << "): ";
     if (k == 0) {
       os << "CB(v) = " << cb_v << " < CE(u)+M+1 = " << need << " with M=" << m;
-      bag.add("CCS-S006", pv.span, os.str());
+      bag.add("CCS-S006", s.span(pv), os.str());
     } else {
       const long long bound = (need - cb_v + k - 1) / k;  // Lemma 4.3
       os << "CB(v)+k*L = " << cb_v + k * s.length << " < CE(u)+M+1 = " << need
@@ -146,7 +151,7 @@ void unfold_cross_check(const Csdfg& g, const NormSchedule& s, int factor,
                         const CommModel& comm, DiagnosticBag& bag) {
   if (factor < 2 || s.places.size() != g.node_count()) return;
   ScheduleTable table(g, s.speeds, s.pipelined);
-  for (const NormPlacement& p : s.places) table.place(p.v, p.pe, p.cb);
+  for (const ResolvedPlacement& p : s.places) table.place(p.v, p.pe, p.cb);
   if (table.occupied_length() > s.length) return;  // S003 already reported
   table.set_length(s.length);
 
@@ -163,6 +168,59 @@ void unfold_cross_check(const Csdfg& g, const NormSchedule& s, int factor,
 }
 
 }  // namespace
+
+ResolvedSchedule resolve_schedule(const Csdfg& g, const RawSchedule& raw,
+                                  DiagnosticBag& bag) {
+  const auto finding = [&](std::size_t line, std::string message) {
+    bag.add("CCS-S001", SourceSpan{raw.file, line}, std::move(message));
+  };
+  NameIndex names;
+  for (NodeId v = 0; v < g.node_count(); ++v) names.declare(g.node(v).name, v);
+  // The task `name` names, or nothing (with a finding) when the graph
+  // declares no task or several tasks of that name.
+  const auto task = [&](const std::string& name,
+                        std::size_t line) -> std::optional<NodeId> {
+    const NameIndex::Entry* entry = names.find(name);
+    if (entry != nullptr && entry->count == 1) return entry->id;
+    finding(line, "unknown task '" + name + "'");
+    return std::nullopt;
+  };
+
+  ResolvedSchedule out;
+  std::vector<std::size_t> placed_on(g.node_count(), 0);  // line, 0 = none
+  for (const RawPlacement& p : raw.places) {
+    const std::optional<NodeId> v = task(p.task, p.line);
+    if (!v) continue;
+    if (p.pe > raw.num_pes) {
+      std::ostringstream os;
+      os << "pe " << p.pe << " out of range for " << raw.num_pes
+         << " processor(s)";
+      finding(p.line, os.str());
+      continue;
+    }
+    if (placed_on[*v] != 0) {
+      finding(p.line, "task '" + p.task + "' placed twice (first on line " +
+                          std::to_string(placed_on[*v]) + ")");
+      continue;
+    }
+    placed_on[*v] = p.line;
+    out.places.push_back(ResolvedPlacement{*v, p.pe - 1, p.cb, p.line});
+  }
+
+  out.retiming.assign(g.node_count(), 0);
+  out.retime_lines.assign(g.node_count(), 0);
+  for (const RawRetime& rt : raw.retimes) {
+    const std::optional<NodeId> v = task(rt.task, rt.line);
+    if (!v) continue;
+    if (out.retime_lines[*v] != 0) {
+      finding(rt.line, "task '" + rt.task + "' retimed twice");
+      continue;
+    }
+    out.retiming[*v] = rt.r;
+    out.retime_lines[*v] = rt.line;
+  }
+  return out;
+}
 
 // CCS-S015: a schedule that certified clean must not be SHORTER than any
 // claimed-sound static lower bound of (this graph, this machine) — the
@@ -208,65 +266,22 @@ bool certify_schedule(const Csdfg& g, const RawSchedule& raw,
     bag.add("CCS-S001", SourceSpan{raw.file, raw.schedule_line}, os.str());
   }
 
+  ResolvedSchedule resolved = resolve_schedule(g, raw, bag);
   NormSchedule s;
   s.length = raw.length;
   s.pipelined = raw.pipelined;
   s.speeds = raw.speeds.empty() ? std::vector<int>(raw.num_pes, 1)
                                 : raw.speeds;
+  s.places = std::move(resolved.places);
   s.whole = whole;
   s.length_span = SourceSpan{raw.file, raw.schedule_line};
-
-  std::vector<std::optional<std::size_t>> first_place(g.node_count());
-  for (const RawPlacement& p : raw.places) {
-    const SourceSpan span{raw.file, p.line};
-    NodeId v = 0;
-    try {
-      v = g.node_by_name(p.task);
-    } catch (const GraphError&) {
-      bag.add("CCS-S001", span, "unknown task '" + p.task + "'");
-      continue;
-    }
-    if (p.pe > raw.num_pes) {
-      std::ostringstream os;
-      os << "pe " << p.pe << " out of range for " << raw.num_pes
-         << " processor(s)";
-      bag.add("CCS-S001", span, os.str());
-      continue;
-    }
-    if (first_place[v]) {
-      bag.add("CCS-S001", span,
-              "task '" + p.task + "' placed twice (first on line " +
-                  std::to_string(s.places[*first_place[v]].span.line) + ")");
-      continue;
-    }
-    first_place[v] = s.places.size();
-    s.places.push_back(NormPlacement{v, p.pe - 1, p.cb, span});
-  }
 
   // Retime provenance (CCS-S008): the file's graph carries the retimed
   // delays d_r(e) = d(e) + r(u) - r(v), so the original delay is
   // d(e) = d_r(e) - r(u) + r(v) and must be non-negative for the recorded
   // retiming to be legal.
-  std::vector<long long> r(g.node_count(), 0);
-  std::vector<std::size_t> r_line(g.node_count(), 0);
-  std::vector<bool> retimed(g.node_count(), false);
-  for (const RawRetime& rt : raw.retimes) {
-    const SourceSpan span{raw.file, rt.line};
-    NodeId v = 0;
-    try {
-      v = g.node_by_name(rt.task);
-    } catch (const GraphError&) {
-      bag.add("CCS-S001", span, "unknown task '" + rt.task + "'");
-      continue;
-    }
-    if (retimed[v]) {
-      bag.add("CCS-S001", span, "task '" + rt.task + "' retimed twice");
-      continue;
-    }
-    retimed[v] = true;
-    r[v] = rt.r;
-    r_line[v] = rt.line;
-  }
+  const std::vector<long long>& r = resolved.retiming;
+  const std::vector<std::size_t>& r_line = resolved.retime_lines;
   if (!raw.retimes.empty()) {
     for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
       const Edge& e = g.edge(eid);
@@ -304,7 +319,7 @@ bool certify_table(const GraphFacts& facts, const ScheduleTable& table,
   s.whole = SourceSpan{label, 0};
   s.length_span = s.whole;
   for (const auto& [v, p] : table.placements())
-    s.places.push_back(NormPlacement{v, p.pe, p.cb, s.whole});
+    s.places.push_back(ResolvedPlacement{v, p.pe, p.cb, 0});
 
   check_norm(g, s, comm, bag);
   if (watch.clean()) unfold_cross_check(g, s, options.unfold_factor, comm, bag);
@@ -312,23 +327,6 @@ bool certify_table(const GraphFacts& facts, const ScheduleTable& table,
     (void)cross_check_schedule_bound(facts, s.length, s.speeds, s.pipelined,
                                      comm, s.whole, bag);
   return watch.clean();
-}
-
-bool bridge_validation_report(const ValidationReport& report,
-                              const SourceSpan& span, DiagnosticBag& bag) {
-  for (const Violation& v : report.violations) {
-    std::string_view code;
-    switch (v.kind) {
-      case Violation::Kind::kUnplacedTask: code = "CCS-S002"; break;
-      case Violation::Kind::kOutOfTable: code = "CCS-S003"; break;
-      case Violation::Kind::kResourceConflict: code = "CCS-S004"; break;
-      case Violation::Kind::kIssueConflict: code = "CCS-S005"; break;
-      case Violation::Kind::kDependence: code = "CCS-S006"; break;
-      case Violation::Kind::kIllegalGraph: code = "CCS-G001"; break;
-    }
-    bag.add(code, span, v.message);
-  }
-  return report.ok();
 }
 
 bool certify_compaction_run(const GraphFacts& facts,

@@ -36,7 +36,6 @@
 #include "core/csdfg.hpp"
 #include "core/cyclo_compaction.hpp"
 #include "core/schedule.hpp"
-#include "core/validator.hpp"
 #include "io/schedule_format.hpp"
 
 namespace ccs {
@@ -51,10 +50,39 @@ struct CertifyOptions {
   int unfold_factor = 3;
 };
 
+/// One `place` directive resolved against its graph.
+struct ResolvedPlacement {
+  NodeId v = 0;
+  std::size_t pe = 0;    ///< 0-based processor.
+  int cb = 0;            ///< First control step, unchecked.
+  std::size_t line = 0;  ///< Declaring line; 0 for an in-memory table.
+};
+
+/// A raw schedule with its names resolved.
+struct ResolvedSchedule {
+  /// The first placement of each task that resolved, in file order.
+  std::vector<ResolvedPlacement> places;
+  /// r(v) from the task's `retime` line; 0 when it has none.
+  std::vector<long long> retiming;
+  /// Line of the task's `retime` directive; 0 when it has none.
+  std::vector<std::size_t> retime_lines;
+};
+
+/// The schedule grammar's one resolution step, shared by certify_schedule
+/// and the strict parse_schedule (io/schedule_format.hpp): resolves `raw`
+/// against `g` with one name index over the graph.  A `place` or `retime`
+/// line naming no task of `g` (or a name `g` declares twice), a `place`
+/// beyond the declared processor count, and a task's second placement or
+/// second retiming are CCS-S001 findings at their line, and the line is
+/// dropped.
+[[nodiscard]] ResolvedSchedule resolve_schedule(const Csdfg& g,
+                                                const RawSchedule& raw,
+                                                DiagnosticBag& bag);
+
 /// Certifies a schedule file (raw form) for `g` on the machine described
-/// by `topo`/`comm`.  Resolution problems (unknown or doubly placed
-/// tasks, processor counts that do not match the architecture) are
-/// CCS-S001; everything placeable is then checked against the master
+/// by `topo`/`comm`.  Resolution problems (resolve_schedule's, and a
+/// processor count that does not match the architecture) are CCS-S001;
+/// everything placeable is then checked against the master
 /// constraint (CCS-S002..S007), `retime` provenance is audited
 /// (CCS-S008), and a clean schedule is cross-checked by unfolding
 /// (CCS-S011).  Returns true iff no error findings were added.
@@ -91,14 +119,6 @@ struct CertifyOptions {
                                               const CommModel& comm,
                                               const SourceSpan& span,
                                               DiagnosticBag& bag);
-
-/// Bridges a core validator report into coded diagnostics anchored at
-/// `span`: kUnplacedTask -> CCS-S002, kOutOfTable -> CCS-S003,
-/// kResourceConflict -> CCS-S004, kIssueConflict -> CCS-S005,
-/// kDependence -> CCS-S006, kIllegalGraph -> CCS-G001.  Returns true iff
-/// the report was empty.
-bool bridge_validation_report(const ValidationReport& report,
-                              const SourceSpan& span, DiagnosticBag& bag);
 
 /// Audits a whole cyclo-compaction run of `facts.graph()`:
 ///  * the claimed retimed graph has the input's tasks, times and edges,

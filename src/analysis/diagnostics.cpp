@@ -7,6 +7,7 @@
 #include "analysis/rules.hpp"
 #include "obs/json.hpp"
 #include "util/contracts.hpp"
+#include "util/error.hpp"
 
 namespace ccs {
 
@@ -71,6 +72,15 @@ bool DiagnosticBag::fails(bool werror) const {
     if (werror && d.severity == Severity::kWarning) return true;
   }
   return false;
+}
+
+void throw_first_error(DiagnosticBag& bag) {
+  bag.finalize();
+  for (const Diagnostic& d : bag.diagnostics()) {
+    if (d.severity != Severity::kError) continue;
+    if (d.span.line == 0) throw ParseError(d.message);
+    throw ParseError(d.span.line, d.message);
+  }
 }
 
 std::string render_text(const DiagnosticBag& bag) {

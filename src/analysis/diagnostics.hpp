@@ -97,6 +97,11 @@ private:
   std::vector<Diagnostic> diags_;
 };
 
+/// The strict readers' acceptance test: finalizes `bag`, then throws
+/// ParseError with the line and message of its first error finding (no
+/// line for a whole-artifact finding).  Returns when there is no error.
+void throw_first_error(DiagnosticBag& bag);
+
 /// Renders one line per finding: "file:line: severity: message [code]"
 /// (the line number is omitted for whole-file findings).  Ends with a
 /// summary line when the bag is non-empty; empty bags render to "".

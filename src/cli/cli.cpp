@@ -916,8 +916,6 @@ int cmd_stress(Args& args, std::istream& in, std::ostream& out,
   }
 
   RepairOptions ropt;
-  ropt.pe_speeds = request.options.startup.pe_speeds;
-  ropt.pipelined_pes = request.options.startup.pipelined_pes;
   ropt.compaction = request.options;
   const RepairOutcome outcome = repair_schedule(
       g, {base.graph, *base.schedule, base.retiming}, topo, plan, ropt, obs);

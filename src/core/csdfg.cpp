@@ -34,10 +34,14 @@ EdgeId Csdfg::add_edge(NodeId from, NodeId to, int delay, std::size_t volume) {
        << ": delay must be >= 0, got " << delay;
     throw GraphError(os.str());
   }
-  if (volume < 1) {
+  if (volume < 1 || volume > kMaxEdgeVolume) {
     std::ostringstream os;
     os << "edge " << nodes_[from].name << "->" << nodes_[to].name
-       << ": data volume must be >= 1";
+       << ": data volume ";
+    if (volume < 1)
+      os << "must be >= 1";
+    else
+      os << volume << " exceeds the " << kMaxEdgeVolume << " cap";
     throw GraphError(os.str());
   }
   if (from == to && delay == 0) {

@@ -41,6 +41,13 @@ struct Edge {
   std::size_t volume = 1;  ///< Data volume c(e) shipped across PEs, >= 1.
 };
 
+/// Largest data volume c(e) an edge may carry.  One hop of a larger
+/// transfer outlasts the longest table the toolkit builds
+/// (kMaxScheduleLength, core/schedule.hpp), and the cap keeps every
+/// hops × c(e) product and the start-up scheduler's step budget (a sum of
+/// diameter × c(e) over the edges) far inside 64 bits.
+inline constexpr std::size_t kMaxEdgeVolume = 1'000'000;
+
 /// A communication-sensitive data-flow graph.
 ///
 /// The structure (nodes, edge endpoints, times, volumes) is immutable after
@@ -63,7 +70,8 @@ public:
   NodeId add_node(std::string name, int time);
 
   /// Adds a dependence edge u -> v with `delay` loop-carried delays (>= 0)
-  /// and inter-processor data volume `volume` (>= 1).  Zero-delay self-loops
+  /// and inter-processor data volume `volume` (in [1, kMaxEdgeVolume]),
+  /// throwing GraphError otherwise.  Zero-delay self-loops
   /// are rejected (they would be an unsatisfiable dependence).  Returns the
   /// new edge's id.
   EdgeId add_edge(NodeId from, NodeId to, int delay, std::size_t volume = 1);

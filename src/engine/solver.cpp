@@ -173,8 +173,6 @@ void solve_repair(const SolveRequest& request, const Topology& topo,
   res.remap_slots_scanned = baseline.remap_stats.slots_scanned;
   res.an_evaluations = baseline.remap_stats.an_evaluations;
   RepairOptions ropt;
-  ropt.pe_speeds = request.options.startup.pe_speeds;
-  ropt.pipelined_pes = request.options.startup.pipelined_pes;
   ropt.compaction = request.options;
   ropt.certify = request.certify_options;
   RepairOutcome outcome = repair_schedule(

@@ -1,20 +1,17 @@
 #include "io/schedule_format.hpp"
 
-#include <optional>
-#include <vector>
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
+#include "analysis/certify.hpp"
 #include "util/contracts.hpp"
-#include "util/error.hpp"
 #include "util/lines.hpp"
+#include "util/numbers.hpp"
 
 namespace ccs {
 
 namespace {
-
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw ParseError(line, what);  // Structured: what() renders "line N: ...".
-}
 
 /// Caps on declared sizes: a schedule's control steps materialize as table
 /// rows (ScheduleTable::ensure_rows), so a hostile `schedule 2000000000 2`
@@ -52,106 +49,7 @@ std::string serialize_schedule(const Csdfg& g, const ScheduleTable& table,
   return os.str();
 }
 
-ScheduleTable parse_schedule(const Csdfg& g, std::istream& in) {
-  std::optional<ScheduleTable> table;
-  int declared_length = 0;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    normalize_parsed_line(line, lineno == 1);
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;
-
-    if (keyword == "schedule") {
-      if (table) fail(lineno, "duplicate schedule directive");
-      int length = 0;
-      std::size_t pes = 0;
-      if (!(ls >> length >> pes) || length < 0 || pes < 1)
-        fail(lineno, "schedule: expected <length>=0> <pes>=1> [pipelined]");
-      if (length > kMaxScheduleLength ||
-          pes > static_cast<std::size_t>(kMaxSchedulePes))
-        fail(lineno, "schedule dimensions exceed the supported bounds (" +
-                         std::to_string(kMaxScheduleLength) + " steps, " +
-                         std::to_string(kMaxSchedulePes) + " PEs)");
-      std::string flag;
-      const bool pipelined = (ls >> flag) && flag == "pipelined";
-      table.emplace(g, pes, pipelined);
-      declared_length = length;
-    } else if (keyword == "speeds") {
-      if (!table) fail(lineno, "speeds before schedule directive");
-      if (table->placed_count() != 0)
-        fail(lineno, "speeds must precede every place directive");
-      const bool pipelined = table->pipelined_pes();
-      std::vector<int> speeds;
-      int s = 0;
-      while (ls >> s) {
-        if (s < 1) fail(lineno, "speed factors must be >= 1");
-        speeds.push_back(s);
-      }
-      if (speeds.size() != table->num_pes())
-        fail(lineno, "speeds: expected one factor per processor");
-      const int length = declared_length;
-      table.emplace(g, std::move(speeds), pipelined);
-      declared_length = length;
-    } else if (keyword == "place") {
-      if (!table) fail(lineno, "place before schedule directive");
-      std::string name;
-      std::size_t pe = 0;
-      int cb = 0;
-      if (!(ls >> name >> pe >> cb))
-        fail(lineno, "place: expected <task> <pe> <cb>");
-      if (pe < 1 || pe > table->num_pes())
-        fail(lineno, "pe " + std::to_string(pe) + " out of range");
-      if (cb < 1) fail(lineno, "cb must be >= 1");
-      if (cb > kMaxScheduleLength)
-        fail(lineno, "cb " + std::to_string(cb) + " exceeds the " +
-                         std::to_string(kMaxScheduleLength) + "-step limit");
-      NodeId v = 0;
-      try {
-        v = g.node_by_name(name);
-      } catch (const GraphError& e) {
-        fail(lineno, e.what());
-      }
-      if (table->is_placed(v))
-        fail(lineno, "task '" + name + "' placed twice");
-      const int span = table->pipelined_pes() ? 1 : table->time_on(v, pe - 1);
-      if (!table->is_free(pe - 1, cb, cb + span - 1))
-        fail(lineno, "slot conflict placing '" + name + "'");
-      table->place(v, pe - 1, cb);
-    } else if (keyword == "retime") {
-      // Provenance only: validated, then discarded (the certifier reads
-      // retime lines through parse_raw_schedule).
-      std::string name;
-      long long r = 0;
-      if (!(ls >> name >> r)) fail(lineno, "retime: expected <task> <r>");
-      try {
-        (void)g.node_by_name(name);
-      } catch (const GraphError& e) {
-        fail(lineno, e.what());
-      }
-    } else {
-      fail(lineno, "unknown directive '" + keyword + "'");
-    }
-  }
-  if (!table) throw ParseError("missing schedule directive");
-  if (declared_length < table->occupied_length())
-    throw ParseError("declared length " + std::to_string(declared_length) +
-                     " shorter than the occupied span " +
-                     std::to_string(table->occupied_length()));
-  table->set_length(declared_length);
-  return std::move(*table);
-}
-
-ScheduleTable parse_schedule(const Csdfg& g, const std::string& text) {
-  std::istringstream in(text);
-  return parse_schedule(g, in);
-}
-
-RawSchedule parse_raw_schedule(const std::string& text,
+RawSchedule parse_raw_schedule(std::string_view text,
                                const std::string& filename,
                                DiagnosticBag& bag) {
   RawSchedule raw;
@@ -160,98 +58,138 @@ RawSchedule parse_raw_schedule(const std::string& text,
     bag.add("CCS-S001", SourceSpan{filename, line}, std::move(message));
   };
 
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    normalize_parsed_line(line, lineno == 1);
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;
-
+  for_each_line(text, [&](std::size_t lineno, Tokens t) {
+    const std::string_view keyword = t[0];
     if (keyword == "schedule") {
       if (raw.has_directive) {
         syntax(lineno, "duplicate schedule directive (first on line " +
                            std::to_string(raw.schedule_line) + ")");
-        continue;
+        return;
       }
       int length = 0;
       long long pes = 0;
-      if (!(ls >> length >> pes) || length < 0 || pes < 1) {
+      if (t.size() < 3 || t.size() > 4 || !parse_whole(t[1], length) ||
+          !parse_whole(t[2], pes) || length < 0 || pes < 1 ||
+          (t.size() == 4 && t[3] != "pipelined")) {
         syntax(lineno, "schedule: expected <length>=0> <pes>=1> [pipelined]");
-        continue;
+        return;
       }
       if (length > kMaxScheduleLength || pes > kMaxSchedulePes) {
         syntax(lineno, "schedule dimensions exceed the supported bounds (" +
                            std::to_string(kMaxScheduleLength) + " steps, " +
                            std::to_string(kMaxSchedulePes) + " PEs)");
-        continue;
+        return;
       }
-      std::string flag;
       raw.has_directive = true;
       raw.schedule_line = lineno;
       raw.length = length;
       raw.num_pes = static_cast<std::size_t>(pes);
-      raw.pipelined = (ls >> flag) && flag == "pipelined";
+      raw.pipelined = t.size() == 4;
+    } else if (keyword != "speeds" && keyword != "place" &&
+               keyword != "retime") {
+      syntax(lineno, "unknown directive '" + std::string(keyword) + "'");
+    } else if (!raw.has_directive) {
+      syntax(lineno, std::string(keyword) + " before schedule directive");
     } else if (keyword == "speeds") {
+      if (raw.speeds_line != 0) {
+        syntax(lineno, "duplicate speeds directive (first on line " +
+                           std::to_string(raw.speeds_line) + ")");
+        return;
+      }
+      if (!raw.places.empty()) {
+        syntax(lineno, "speeds must precede every place directive");
+        return;
+      }
       std::vector<int> speeds;
-      int s = 0;
-      bool ok = true;
-      while (ls >> s) {
+      for (const std::string_view token : t.subspan(1)) {
+        int s = 0;
+        if (!parse_whole(token, s)) break;
         if (s < 1) {
           syntax(lineno, "speeds: factors must be >= 1");
-          ok = false;
-          break;
+          return;
         }
         speeds.push_back(s);
       }
-      if (!ok) continue;
-      if (!raw.has_directive || speeds.size() != raw.num_pes) {
-        syntax(lineno,
-               "speeds: expected one factor per processor, after the "
-               "schedule directive");
-        continue;
+      if (speeds.size() != t.size() - 1 || speeds.size() != raw.num_pes) {
+        syntax(lineno, "speeds: expected one factor per processor");
+        return;
       }
       raw.speeds = std::move(speeds);
       raw.speeds_line = lineno;
     } else if (keyword == "place") {
-      RawPlacement p;
       long long pe = 0;
-      if (!(ls >> p.task >> pe >> p.cb)) {
+      int cb = 0;
+      if (t.size() != 4 || !parse_whole(t[2], pe) || !parse_whole(t[3], cb)) {
         syntax(lineno, "place: expected <task> <pe> <cb>");
-        continue;
+        return;
       }
       if (pe < 1 || pe > kMaxSchedulePes) {
         syntax(lineno, "place: pe must be in [1, " +
                            std::to_string(kMaxSchedulePes) + "]");
-        continue;
+        return;
       }
-      if (p.cb > kMaxScheduleLength) {
-        syntax(lineno, "place: cb " + std::to_string(p.cb) + " exceeds the " +
+      if (cb > kMaxScheduleLength) {
+        syntax(lineno, "place: cb " + std::to_string(cb) + " exceeds the " +
                            std::to_string(kMaxScheduleLength) + "-step limit");
-        continue;
+        return;
       }
-      p.pe = static_cast<std::size_t>(pe);
-      p.line = lineno;
-      raw.places.push_back(std::move(p));
-    } else if (keyword == "retime") {
-      RawRetime r;
-      if (!(ls >> r.task >> r.r)) {
-        syntax(lineno, "retime: expected <task> <r>");
-        continue;
-      }
-      r.line = lineno;
-      raw.retimes.push_back(std::move(r));
+      raw.places.push_back(RawPlacement{
+          std::string(t[1]), static_cast<std::size_t>(pe), cb, lineno});
     } else {
-      syntax(lineno, "unknown directive '" + keyword + "'");
+      // 32 bits are ample (a run retimes a task at most once per pass) and
+      // keep the certifier's d(e) - r(u) + r(v) far from overflow.
+      int r = 0;
+      if (t.size() != 3 || !parse_whole(t[2], r)) {
+        syntax(lineno, "retime: expected <task> <r>");
+        return;
+      }
+      raw.retimes.push_back(RawRetime{std::string(t[1]), r, lineno});
     }
-  }
+  });
   if (!raw.has_directive)
     syntax(0, "missing schedule directive");
   return raw;
+}
+
+ScheduleTable parse_schedule(const Csdfg& g, std::string_view text) {
+  DiagnosticBag bag;
+  const RawSchedule raw = parse_raw_schedule(text, "<schedule>", bag);
+  const ResolvedSchedule resolved = resolve_schedule(g, raw, bag);
+  if (!raw.has_directive) throw_first_error(bag);
+  const auto finding = [&](std::size_t line, std::string message) {
+    bag.add("CCS-S001", SourceSpan{raw.file, line}, std::move(message));
+  };
+
+  ScheduleTable table = raw.speeds.empty()
+                            ? ScheduleTable(g, raw.num_pes, raw.pipelined)
+                            : ScheduleTable(g, raw.speeds, raw.pipelined);
+  long long occupied = 0;
+  for (const ResolvedPlacement& p : resolved.places) {
+    if (p.cb < 1) {
+      finding(p.line, "cb must be >= 1");
+      continue;
+    }
+    const long long ce =
+        p.cb + static_cast<long long>(g.node(p.v).time) * table.pe_speed(p.pe) -
+        1;
+    occupied = std::max(occupied, ce);
+    // A task past the declared length is reported once, as the length
+    // below; placing it anyway would materialize rows no table may have.
+    if (ce > raw.length) continue;
+    const int last = table.pipelined_pes() ? p.cb : static_cast<int>(ce);
+    if (!table.is_free(p.pe, p.cb, last)) {
+      finding(p.line, "slot conflict placing '" + g.node(p.v).name + "'");
+      continue;
+    }
+    table.place(p.v, p.pe, p.cb);
+  }
+  if (occupied > raw.length)
+    finding(raw.schedule_line,
+            "declared length " + std::to_string(raw.length) +
+                " shorter than the occupied span " + std::to_string(occupied));
+  throw_first_error(bag);
+  table.set_length(raw.length);
+  return table;
 }
 
 }  // namespace ccs

@@ -3,10 +3,11 @@
 // Schedules are artifacts worth persisting: a compacted table is the
 // product of an expensive search, and downstream code generators (see
 // core/prologue.hpp) consume it.  The format is line-oriented like the
-// graph format:
+// graph format, with the lexical rules of util/lines.hpp:
 //
-//   schedule <length> <num_pes> [pipelined]
-//   speeds <s1> ... <sP>            # optional, heterogeneous machines
+//   schedule <length> <num_pes> [pipelined]   # first, exactly once
+//   speeds <s1> ... <sP>            # optional, heterogeneous machines;
+//                                   # at most once, before every place
 //   place <task-name> <pe (1-based)> <cb>
 //   retime <task-name> <r>          # optional provenance: accumulated
 //                                   # retiming from the original graph
@@ -15,13 +16,18 @@
 // file is only meaningful alongside its (possibly retimed) CSDFG — the
 // serializer for graphs lives in io/text_format.hpp.  `retime` lines
 // record the accumulated retiming the rotation phase applied; the strict
-// parser validates and discards them (the certifier consumes them through
-// the raw representation below).
+// reader validates and discards them, the certifier audits them.
+//
+// There is one reader.  parse_raw_schedule reads the text and keeps every
+// directive as written; resolve_schedule (analysis/certify.hpp) resolves
+// task names and processors against the graph.  The certifier works from
+// those two, because it must inspect schedules the strict reader refuses;
+// parse_schedule adds the table checks and throws.
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
@@ -40,23 +46,19 @@ namespace ccs {
                                              const Retiming* retiming =
                                                  nullptr);
 
-/// Parses the schedule format against `g`.  Throws ParseError with a line
-/// number on malformed input (unknown task, double placement, occupancy
-/// conflict, length shorter than the occupied span).
-[[nodiscard]] ScheduleTable parse_schedule(const Csdfg& g, std::istream& in);
-
-/// Convenience overload for in-memory text.
+/// Parses the schedule format against `g` strictly: parse_raw_schedule,
+/// resolve_schedule, then the table checks (cb >= 1, no slot conflict, a
+/// declared length no shorter than the occupied span).  Throws ParseError
+/// carrying the first error's line (throw_first_error).
 [[nodiscard]] ScheduleTable parse_schedule(const Csdfg& g,
-                                           const std::string& text);
+                                           std::string_view text);
 
-// --- Raw (lenient) representation for the certifier ------------------------
+// --- Raw (lenient) representation -------------------------------------------
 //
-// The certifier (src/analysis/certify.hpp) must be able to inspect
-// schedules the strict parser rejects — overlapping placements, lengths
-// below the occupied span — so it re-derives every property itself.  The
-// raw parser keeps each directive as written, with its source line, and
-// reports only *syntax* problems; semantic problems (unknown tasks,
-// conflicts, broken constraints) are the certifier's job.
+// The raw reader keeps each directive as written, with its source line,
+// and reports only *syntax* problems; resolution reports the names and
+// processors that do not resolve.  Both report CCS-S001 findings and drop
+// the offending line, so a caller sees every problem of a file at once.
 
 /// One `place` directive as written.
 struct RawPlacement {
@@ -88,11 +90,12 @@ struct RawSchedule {
 };
 
 /// Parses the schedule format leniently: every directive that scans is
-/// recorded verbatim; lines that do not scan (and structural misuses such
-/// as a duplicate or missing `schedule` directive) are reported into `bag`
-/// as CCS-S001 diagnostics with their source line, then skipped.  Never
+/// recorded verbatim; lines that do not scan, and structural misuses (a
+/// duplicate or missing `schedule` directive, directives before it, a
+/// second `speeds` or one after a `place`), are reported into `bag` as
+/// CCS-S001 diagnostics with their source line, then skipped.  Never
 /// throws.  `filename` labels the spans.
-[[nodiscard]] RawSchedule parse_raw_schedule(const std::string& text,
+[[nodiscard]] RawSchedule parse_raw_schedule(std::string_view text,
                                              const std::string& filename,
                                              DiagnosticBag& bag);
 

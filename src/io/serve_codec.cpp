@@ -1,5 +1,6 @@
 #include "io/serve_codec.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -78,17 +79,18 @@ bool read_speeds(const TraceEvent& e, std::vector<int>& out,
     error = "speeds must be an array of integers";
     return false;
   }
-  std::string body = f->text;
+  std::string_view body = f->text;
   if (body.size() >= 2) body = body.substr(1, body.size() - 2);
-  std::istringstream ls(body);
-  std::string tok;
-  while (std::getline(ls, tok, ',')) {
+  for (std::size_t at = 0; at < body.size();) {
+    const std::size_t comma = std::min(body.find(',', at), body.size());
     int s = 0;
-    if (!parse_whole(tok, s) || s < 1 || s > 1'000'000) {
+    if (!parse_whole(body.substr(at, comma - at), s) || s < 1 ||
+        s > 1'000'000) {
       error = "speeds entries must be integers >= 1";
       return false;
     }
     out.push_back(s);
+    at = comma + 1;
   }
   return true;
 }

@@ -1,6 +1,8 @@
 #include "io/text_format.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -10,104 +12,77 @@
 
 namespace ccs {
 
-namespace {
-
-/// Per-name declaration count: lenient edge resolution must distinguish
-/// "never declared" from "declared more than once" (both CCS-P002).
-struct NameTable {
-  std::map<std::string, NodeId> first;
-  std::map<std::string, std::size_t> count;
-
-  void declare(const std::string& name, NodeId id) {
-    first.emplace(name, id);
-    ++count[name];
-  }
-};
-
-}  // namespace
-
-ParsedCsdfg parse_csdfg_with_spans(std::istream& in,
+ParsedCsdfg parse_csdfg_with_spans(std::string_view text,
                                    const std::string& filename,
                                    DiagnosticBag& bag) {
   ParsedCsdfg out;
   out.spans.file = filename;
-  NameTable names;
+  NameIndex names;
   bool named = false;
-  std::string line;
-  std::size_t lineno = 0;
 
   const auto diag = [&](std::string_view code, std::size_t at,
                         const std::string& message) {
     bag.add(code, SourceSpan{filename, at}, message);
   };
 
-  while (std::getline(in, line)) {
-    ++lineno;
-    normalize_parsed_line(line, lineno == 1);
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;  // blank/comment line
-
+  for_each_line(text, [&](std::size_t lineno, Tokens t) {
+    const std::string_view keyword = t[0];
     if (keyword == "graph") {
-      std::string name;
-      if (!(ls >> name)) {
-        diag("CCS-P001", lineno, "graph: missing name");
-        continue;
-      }
-      if (named) {
+      if (t.size() != 2) {
+        diag("CCS-P001", lineno, "graph: expected <name>");
+      } else if (named) {
         diag("CCS-P003", lineno, "duplicate graph directive");
-        continue;
-      }
-      if (out.graph.node_count() != 0) {
+      } else if (out.graph.node_count() != 0) {
         diag("CCS-P003", lineno, "graph directive must precede nodes");
-        continue;
+      } else {
+        out.graph = Csdfg(std::string(t[1]));
+        out.spans.graph_line = lineno;
+        named = true;
       }
-      out.graph = Csdfg(name);
-      out.spans.graph_line = lineno;
-      named = true;
     } else if (keyword == "node") {
-      std::string name;
       int time = 0;
-      if (!(ls >> name >> time)) {
+      if (t.size() != 3 || !parse_whole(t[2], time)) {
         diag("CCS-P001", lineno, "node: expected <name> <time>");
-        continue;
+        return;
       }
       if (time < 1) {
         std::ostringstream os;
-        os << "node '" << name << "': computation time must be >= 1, got "
+        os << "node '" << t[1] << "': computation time must be >= 1, got "
            << time;
         diag("CCS-G003", lineno, os.str());
         time = 1;  // Clamp so later edges still resolve the name.
       }
-      names.declare(name, out.graph.add_node(name, time));
+      names.declare(t[1], out.graph.add_node(std::string(t[1]), time));
       out.spans.node_lines.push_back(lineno);
     } else if (keyword == "edge") {
-      std::string from, to;
       int delay = 0;
-      std::size_t volume = 1;
-      if (!(ls >> from >> to >> delay)) {
+      long long volume = 1;
+      if ((t.size() != 4 && t.size() != 5) || !parse_whole(t[3], delay) ||
+          (t.size() == 5 && !parse_whole(t[4], volume))) {
         diag("CCS-P001", lineno,
              "edge: expected <from> <to> <delay> [volume]");
-        continue;
+        return;
       }
-      if (!(ls >> volume)) volume = 1;
+      const std::string_view from = t[1], to = t[2];
+      NodeId ends[2] = {0, 0};
       bool resolved = true;
-      for (const std::string& name : {from, to}) {
-        const auto it = names.count.find(name);
-        if (it == names.count.end()) {
+      for (std::size_t i = 0; i < 2; ++i) {
+        const std::string_view name = t[1 + i];
+        const NameIndex::Entry* entry = names.find(name);
+        if (entry == nullptr) {
           diag("CCS-P002", lineno,
-               "edge references unknown node '" + name + "'");
+               "edge references unknown node '" + std::string(name) + "'");
           resolved = false;
-        } else if (it->second > 1) {
+        } else if (entry->count > 1) {
           diag("CCS-P002", lineno,
-               "edge references ambiguous node '" + name +
-                   "' (declared " + std::to_string(it->second) + " times)");
+               "edge references ambiguous node '" + std::string(name) +
+                   "' (declared " + std::to_string(entry->count) + " times)");
           resolved = false;
+        } else {
+          ends[i] = entry->id;
         }
       }
-      if (!resolved) continue;
+      if (!resolved) return;
       bool skip = false;
       if (delay < 0) {
         std::ostringstream os;
@@ -116,52 +91,49 @@ ParsedCsdfg parse_csdfg_with_spans(std::istream& in,
         diag("CCS-G005", lineno, os.str());
         skip = true;  // A clamped delay would fabricate a dependence.
       }
-      if (volume < 1) {
+      const auto cap = static_cast<long long>(kMaxEdgeVolume);
+      if (volume < 1 || volume > cap) {
         std::ostringstream os;
-        os << "edge " << from << "->" << to << ": data volume must be >= 1";
+        os << "edge " << from << "->" << to << ": data volume ";
+        if (volume < 1)
+          os << "must be >= 1";
+        else
+          os << volume << " exceeds the " << cap << " cap";
         diag("CCS-G004", lineno, os.str());
-        volume = 1;
+        volume = std::clamp(volume, 1LL, cap);
       }
       if (!skip && from == to && delay == 0) {
         diag("CCS-G002", lineno,
-             "zero-delay self-loop on node '" + from + "' is unsatisfiable");
+             "zero-delay self-loop on node '" + std::string(from) +
+                 "' is unsatisfiable");
         skip = true;
       }
-      if (skip) continue;
-      out.graph.add_edge(names.first.at(from), names.first.at(to), delay,
-                         volume);
+      if (skip) return;
+      out.graph.add_edge(ends[0], ends[1], delay,
+                         static_cast<std::size_t>(volume));
       out.spans.edge_lines.push_back(lineno);
     } else {
-      diag("CCS-P001", lineno, "unknown directive '" + keyword + "'");
+      diag("CCS-P001", lineno,
+           "unknown directive '" + std::string(keyword) + "'");
     }
-  }
+  });
   return out;
 }
 
-ParsedCsdfg parse_csdfg_with_spans(const std::string& text,
-                                   const std::string& filename,
-                                   DiagnosticBag& bag) {
-  std::istringstream in(text);
-  return parse_csdfg_with_spans(in, filename, bag);
-}
-
 void require_strict_parse(const ParsedCsdfg& parsed, DiagnosticBag& bag) {
-  bag.finalize();
-  for (const Diagnostic& d : bag.diagnostics())
-    if (d.severity == Severity::kError) throw ParseError(d.span.line, d.message);
+  throw_first_error(bag);
   parsed.graph.require_legal();
 }
 
-Csdfg parse_csdfg(std::istream& in) {
+Csdfg parse_csdfg(std::string_view text) {
   DiagnosticBag bag;
-  ParsedCsdfg parsed = parse_csdfg_with_spans(in, "<input>", bag);
+  ParsedCsdfg parsed = parse_csdfg_with_spans(text, "<input>", bag);
   require_strict_parse(parsed, bag);
   return std::move(parsed.graph);
 }
 
-Csdfg parse_csdfg(const std::string& text) {
-  std::istringstream in(text);
-  return parse_csdfg(in);
+Csdfg parse_csdfg(std::istream& in) {
+  return parse_csdfg(std::string(std::istreambuf_iterator<char>(in), {}));
 }
 
 std::string serialize_csdfg(const Csdfg& g) {
@@ -178,25 +150,35 @@ std::string serialize_csdfg(const Csdfg& g) {
 }
 
 Topology parse_topology(const std::string& spec) {
-  std::istringstream ls(spec);
-  std::string kind;
   // Every branch echoes the full spec string so the message is actionable
   // no matter which layer (CLI flag, file, test) supplied it.
   const auto fail = [&](const std::string& what) -> ParseError {
     return ParseError("architecture spec '" + spec + "': " + what);
   };
-  if (!(ls >> kind)) throw ParseError("architecture spec is empty");
-  std::vector<std::string> args;
-  std::string tok;
-  while (ls >> tok) args.push_back(tok);
+  std::vector<std::string_view> tokens;
+  split_tokens(spec, tokens);
+  if (tokens.empty()) throw ParseError("architecture spec is empty");
+  const std::string kind(tokens.front());
+  const Tokens args = Tokens(tokens).subspan(1);
 
-  auto num = [&](std::size_t i) -> std::size_t {
-    if (i >= args.size())
-      throw fail("missing parameter for '" + kind + "'");
-    long long v = 0;
-    if (!parse_whole(args[i], v)) throw fail("bad number '" + args[i] + "'");
-    if (v < 0) throw fail("negative parameter '" + args[i] + "'");
-    return static_cast<std::size_t>(v);
+  const bool uni = kind == "ring" && args.size() == 2 && args[1] == "uni";
+  // Reads the first `count` (at most 2) parameters as numbers; a token
+  // after them other than ring's "uni" is refused.
+  const auto params = [&](std::size_t count) {
+    std::array<std::size_t, 2> values{};
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i >= args.size())
+        throw fail("missing parameter for '" + kind + "'");
+      long long v = 0;
+      if (!parse_whole(args[i], v))
+        throw fail("bad number '" + std::string(args[i]) + "'");
+      if (v < 0)
+        throw fail("negative parameter '" + std::string(args[i]) + "'");
+      values[i] = static_cast<std::size_t>(v);
+    }
+    if (args.size() > count + (uni ? 1 : 0))
+      throw fail("unexpected parameter '" + std::string(args[count]) + "'");
+    return values;
   };
 
   // Cap the machine size before any factory runs: the all-pairs distance
@@ -219,27 +201,22 @@ Topology parse_topology(const std::string& spec) {
     return {rows, cols};
   };
 
-  if (kind == "linear_array") return make_linear_array(capped(num(0)));
-  if (kind == "ring") {
-    const bool uni = args.size() > 1 && args[1] == "uni";
-    return make_ring(capped(num(0)), /*bidirectional=*/!uni);
-  }
-  if (kind == "complete") return make_complete(capped(num(0)));
-  if (kind == "mesh") {
-    const auto [rows, cols] = capped_grid(num(0), num(1));
-    return make_mesh(rows, cols);
-  }
-  if (kind == "torus") {
-    const auto [rows, cols] = capped_grid(num(0), num(1));
-    return make_torus(rows, cols);
+  if (kind == "linear_array") return make_linear_array(capped(params(1)[0]));
+  if (kind == "ring")
+    return make_ring(capped(params(1)[0]), /*bidirectional=*/!uni);
+  if (kind == "complete") return make_complete(capped(params(1)[0]));
+  if (kind == "mesh" || kind == "torus") {
+    const auto [r, c] = params(2);
+    const auto [rows, cols] = capped_grid(r, c);
+    return kind == "mesh" ? make_mesh(rows, cols) : make_torus(rows, cols);
   }
   if (kind == "hypercube") {
-    const std::size_t dims = num(0);
+    const std::size_t dims = params(1)[0];
     if (dims > 10) throw fail("hypercube dimension exceeds 10 (1024 PEs)");
     return make_hypercube(dims);
   }
-  if (kind == "star") return make_star(capped(num(0)));
-  if (kind == "binary_tree") return make_binary_tree(capped(num(0)));
+  if (kind == "star") return make_star(capped(params(1)[0]));
+  if (kind == "binary_tree") return make_binary_tree(capped(params(1)[0]));
   throw fail("unknown architecture '" + kind + "'");
 }
 

@@ -9,6 +9,9 @@
 //   node B 2
 //   edge A B 0 1          # from to delay volume
 //
+// The lexical rules (comments, blanks, BOM/CRLF, whole-token numbers) are
+// util/lines.hpp's, shared with every other format.
+//
 // Architectures are one-liners:
 //
 //   linear_array 8 | ring 8 [uni] | complete 8 | mesh 4 2 | torus 4 4 |
@@ -17,6 +20,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "analysis/diagnostics.hpp"
 #include "arch/topology.hpp"
@@ -35,37 +39,33 @@ struct ParsedCsdfg {
 /// invalid constructs are reported into `bag` with stable codes (CCS-P###
 /// syntax, CCS-G002..G005 domain violations) and source spans, then either
 /// skipped (bad lines, unresolvable edges, zero-delay self-loops) or
-/// clamped to the nearest legal value (times to 1, volumes to 1, delays
-/// to 0) so downstream lint passes still see a maximal graph.  Never
-/// throws on bad input; legality (zero-delay cycles) is NOT checked —
-/// that is the CCS-G001 lint pass.  `filename` labels the spans.
-[[nodiscard]] ParsedCsdfg parse_csdfg_with_spans(std::istream& in,
+/// clamped to the nearest legal value (times to 1, volumes into
+/// [1, kMaxEdgeVolume], delays to 0) so downstream lint passes still see a
+/// maximal graph.  Never throws on bad input; legality (zero-delay cycles)
+/// is NOT checked — that is the CCS-G001 lint pass.  `filename` labels the
+/// spans.
+[[nodiscard]] ParsedCsdfg parse_csdfg_with_spans(std::string_view text,
                                                  const std::string& filename,
                                                  DiagnosticBag& bag);
 
-/// Lenient parse from a string.
-[[nodiscard]] ParsedCsdfg parse_csdfg_with_spans(const std::string& text,
-                                                 const std::string& filename,
-                                                 DiagnosticBag& bag);
-
-/// The strict parser's acceptance test on a lenient parse: finalizes
-/// `bag`, then throws ParseError carrying the (line, message) pair of its
-/// first error, or GraphError when the graph has a zero-delay cycle.  Lets
-/// a caller that also lints the graph parse it once.
+/// The strict parser's acceptance test on a lenient parse:
+/// throw_first_error(bag), then GraphError when the graph has a zero-delay
+/// cycle.  Lets a caller that also lints the graph parse it once.
 void require_strict_parse(const ParsedCsdfg& parsed, DiagnosticBag& bag);
 
 /// Parses the CSDFG text format strictly: the lenient parse plus
 /// require_strict_parse.
-[[nodiscard]] Csdfg parse_csdfg(std::istream& in);
+[[nodiscard]] Csdfg parse_csdfg(std::string_view text);
 
-/// Parses from a string (convenience for tests and embedded specs).
-[[nodiscard]] Csdfg parse_csdfg(const std::string& text);
+/// Reads all of `in`, then parses it as parse_csdfg(text) does.
+[[nodiscard]] Csdfg parse_csdfg(std::istream& in);
 
 /// Serializes `g` to the text format; parse_csdfg round-trips it.
 [[nodiscard]] std::string serialize_csdfg(const Csdfg& g);
 
 /// Parses an architecture one-liner such as "mesh 4 2" or "ring 8 uni".
-/// Throws ParseError on unknown topology names or bad parameters.
+/// Throws ParseError on unknown topology names, bad or missing parameters
+/// and parameters the topology does not take.
 [[nodiscard]] Topology parse_topology(const std::string& spec);
 
 }  // namespace ccs

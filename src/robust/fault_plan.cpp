@@ -17,31 +17,29 @@ namespace {
 constexpr long long kMaxIteration = 1'000'000'000'000LL;
 constexpr int kMaxJitter = 1'000'000;
 
-/// Parses the `@iter N` suffix; returns false (with a message) on junk.
-bool parse_iter_clause(std::istringstream& ls, long long& iteration,
+/// Rejects trailing junk after a fully parsed directive.
+bool line_exhausted(Tokens rest, std::string& problem) {
+  if (rest.empty()) return true;
+  problem = "trailing junk '" + std::string(rest.front()) + "'";
+  return false;
+}
+
+/// Parses the optional `@iter N` suffix, the rest of its line; returns
+/// false (with a message) on junk.
+bool parse_iter_clause(Tokens rest, long long& iteration,
                        std::string& problem) {
   iteration = 0;
-  std::string at;
-  if (!(ls >> at)) return true;  // optional clause absent
-  if (at != "@iter") {
-    problem = "expected '@iter <n>', got '" + at + "'";
+  if (rest.empty()) return true;  // optional clause absent
+  if (rest[0] != "@iter") {
+    problem = "expected '@iter <n>', got '" + std::string(rest[0]) + "'";
     return false;
   }
-  if (!(ls >> iteration) || iteration < 0 || iteration > kMaxIteration) {
+  if (rest.size() < 2 || !parse_whole(rest[1], iteration) || iteration < 0 ||
+      iteration > kMaxIteration) {
     problem = "@iter expects an integer in [0, 1e12]";
     return false;
   }
-  return true;
-}
-
-/// Rejects trailing junk after a fully parsed directive.
-bool line_exhausted(std::istringstream& ls, std::string& problem) {
-  std::string extra;
-  if (ls >> extra) {
-    problem = "trailing junk '" + extra + "'";
-    return false;
-  }
-  return true;
+  return line_exhausted(rest.subspan(2), problem);
 }
 
 /// Resolves "p<index>" to a PE of `topo`; npos-like failure via bool.
@@ -60,7 +58,7 @@ bool resolve_pe(const std::string& name, const Topology& topo, PeId& out) {
 
 }  // namespace
 
-FaultSpec parse_fault_spec(const std::string& text,
+FaultSpec parse_fault_spec(std::string_view text,
                            const std::string& filename, DiagnosticBag& bag) {
   FaultSpec spec;
   spec.file = filename;
@@ -68,76 +66,66 @@ FaultSpec parse_fault_spec(const std::string& text,
     bag.add("CCS-F001", SourceSpan{filename, line}, std::move(message));
   };
 
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    normalize_parsed_line(line, lineno == 1);
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;
-
+  for_each_line(text, [&](std::size_t lineno, Tokens t) {
+    const std::string_view keyword = t[0];
     std::string problem;
     if (keyword == "fail") {
-      RawPeFault f;
-      f.line = lineno;
-      if (!(ls >> f.pe)) {
+      if (t.size() < 2) {
         syntax(lineno, "fail: expected <pe> [@iter <n>]");
-        continue;
+        return;
       }
-      if (!parse_iter_clause(ls, f.iteration, problem) ||
-          !line_exhausted(ls, problem)) {
+      RawPeFault f;
+      f.pe = std::string(t[1]);
+      f.line = lineno;
+      if (!parse_iter_clause(t.subspan(2), f.iteration, problem)) {
         syntax(lineno, "fail: " + problem);
-        continue;
+        return;
       }
       spec.pe_faults.push_back(std::move(f));
     } else if (keyword == "link") {
-      RawLinkFault f;
-      f.line = lineno;
-      if (!(ls >> f.a >> f.b)) {
+      if (t.size() < 3) {
         syntax(lineno, "link: expected <peA> <peB> [@iter <n>]");
-        continue;
+        return;
       }
-      if (!parse_iter_clause(ls, f.iteration, problem) ||
-          !line_exhausted(ls, problem)) {
+      RawLinkFault f;
+      f.a = std::string(t[1]);
+      f.b = std::string(t[2]);
+      f.line = lineno;
+      if (!parse_iter_clause(t.subspan(3), f.iteration, problem)) {
         syntax(lineno, "link: " + problem);
-        continue;
+        return;
       }
       spec.link_faults.push_back(std::move(f));
     } else if (keyword == "jitter") {
-      RawJitter j;
-      j.line = lineno;
-      std::string delta;
-      if (!(ls >> j.task >> delta)) {
+      if (t.size() < 3) {
         syntax(lineno, "jitter: expected <task> <+n|-n>");
-        continue;
+        return;
       }
-      if (delta.empty() || (delta[0] != '+' && delta[0] != '-')) {
+      const std::string_view delta = t[2];
+      if (delta[0] != '+' && delta[0] != '-') {
         syntax(lineno, "jitter: delta must carry an explicit sign, got '" +
-                           delta + "'");
-        continue;
+                           std::string(delta) + "'");
+        return;
       }
       // The sign is checked above; the magnitude is one whole number.
       unsigned long long magnitude = 0;
-      if (!parse_whole(std::string_view(delta).substr(1), magnitude) ||
+      if (!parse_whole(delta.substr(1), magnitude) ||
           magnitude > static_cast<unsigned long long>(kMaxJitter)) {
-        syntax(lineno, "jitter: bad delta '" + delta + "'");
-        continue;
+        syntax(lineno, "jitter: bad delta '" + std::string(delta) + "'");
+        return;
       }
-      j.delta = static_cast<int>(magnitude) * (delta[0] == '-' ? -1 : 1);
-      if (!line_exhausted(ls, problem)) {
+      if (!line_exhausted(t.subspan(3), problem)) {
         syntax(lineno, "jitter: " + problem);
-        continue;
+        return;
       }
-      spec.jitters.push_back(std::move(j));
+      spec.jitters.push_back(RawJitter{
+          std::string(t[1]),
+          static_cast<int>(magnitude) * (delta[0] == '-' ? -1 : 1), lineno});
     } else {
-      syntax(lineno, "unknown directive '" + keyword +
+      syntax(lineno, "unknown directive '" + std::string(keyword) +
                          "' (expected fail, link, or jitter)");
     }
-  }
+  });
   return spec;
 }
 

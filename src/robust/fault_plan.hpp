@@ -23,6 +23,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
@@ -70,7 +71,7 @@ struct FaultSpec {
 /// recorded verbatim; lines that do not are CCS-F001 diagnostics with
 /// their source line, then skipped.  Never throws.  `filename` labels
 /// the spans.
-[[nodiscard]] FaultSpec parse_fault_spec(const std::string& text,
+[[nodiscard]] FaultSpec parse_fault_spec(std::string_view text,
                                          const std::string& filename,
                                          DiagnosticBag& bag);
 

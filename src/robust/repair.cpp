@@ -9,6 +9,7 @@
 #include "arch/comm_model.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/remap_engine.hpp"
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 
 namespace ccs {
@@ -25,19 +26,10 @@ struct Candidate {
 /// Projects the original machine's per-PE speeds onto the survivors.
 std::vector<int> project_speeds(const std::vector<int>& speeds,
                                 const std::vector<PeId>& to_original) {
-  if (speeds.empty()) return {};
   std::vector<int> out;
   out.reserve(to_original.size());
-  for (PeId p : to_original)
-    out.push_back(p < speeds.size() ? speeds[p] : 1);
+  for (PeId p : to_original) out.push_back(speeds[p]);
   return out;
-}
-
-/// An empty table for `g` on a machine of `num_pes` survivors.
-ScheduleTable empty_table(const Csdfg& g, std::size_t num_pes,
-                          const std::vector<int>& speeds, bool pipelined) {
-  if (speeds.empty()) return {g, num_pes, pipelined};
-  return {g, speeds, pipelined};
 }
 
 }  // namespace
@@ -96,7 +88,10 @@ RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
                               const RepairOptions& options,
                               const ObsContext& obs) {
   g.require_legal();
+  CCS_EXPECTS(baseline.table.num_pes() == topo.size());
   const ObsSpan repair_span = obs.span("repair");
+  const std::vector<int>& pe_speeds = baseline.table.pe_speeds();
+  const bool pipelined = baseline.table.pipelined_pes();
 
   RepairOutcome out;
   out.graph = g;
@@ -152,14 +147,12 @@ RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
   if (rm.connected) {
     const StoreAndForwardModel comm(*rm.topo);
     const std::vector<int> speeds =
-        project_speeds(options.pe_speeds, rm.to_original);
+        project_speeds(pe_speeds, rm.to_original);
 
     // --- rung 0: keep the survivors, remap only the orphans ---------------
     {
       const ObsSpan rung_span = obs.span("repair.remap");
-      ScheduleTable base = empty_table(baseline.graph,
-                                       rm.topo->size(), speeds,
-                                       options.pipelined_pes);
+      ScheduleTable base(baseline.graph, speeds, pipelined);
       std::vector<bool> orphaned(g.node_count(), false);
       for (NodeId v : out.orphans) orphaned[v] = true;
       for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -221,7 +214,7 @@ RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
                    std::string(repair_rung_name(rung)));
       CycloCompactionOptions copts = options.compaction;
       copts.policy = policy;
-      copts.startup.pipelined_pes = options.pipelined_pes;
+      copts.startup.pipelined_pes = pipelined;
       copts.startup.pe_speeds = speeds;
       const CycloCompactionResult rerun =
           cyclo_compact(g, *rm.topo, comm, copts, obs);
@@ -247,7 +240,7 @@ RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
     if (!out.success) {
       const ObsSpan rung_span = obs.span("repair.list-schedule");
       StartUpOptions sopts = options.compaction.startup;
-      sopts.pipelined_pes = options.pipelined_pes;
+      sopts.pipelined_pes = pipelined;
       sopts.pe_speeds = speeds;
       sopts.comm_aware = true;
       ScheduleTable table = start_up_schedule(g, *rm.topo, comm, sopts, obs);
@@ -279,12 +272,9 @@ RepairOutcome repair_schedule(const Csdfg& g, const RepairBaseline& baseline,
     const Topology serial(1, {}, false,
                           "serial(p" + std::to_string(host) + ")");
     const StoreAndForwardModel comm(serial);
-    std::vector<int> speed;
-    if (!options.pe_speeds.empty() && host < options.pe_speeds.size())
-      speed = {options.pe_speeds[host]};
     StartUpOptions sopts = options.compaction.startup;
-    sopts.pipelined_pes = options.pipelined_pes;
-    sopts.pe_speeds = speed;
+    sopts.pipelined_pes = pipelined;
+    sopts.pe_speeds = {pe_speeds[host]};
     sopts.comm_aware = true;
     ScheduleTable table = start_up_schedule(g, serial, comm, sopts, obs);
 

@@ -91,12 +91,11 @@ enum class RepairRung {
 [[nodiscard]] std::string_view repair_rung_name(RepairRung rung);
 
 /// Knobs of the repair pass.
+///
+/// The machine's per-PE speeds and pipelining come from the baseline
+/// table (RepairBaseline::table); the repair projects the speeds onto the
+/// survivors.
 struct RepairOptions {
-  /// Per-PE slowdown factors of the *original* machine (empty means
-  /// homogeneous); the repair projects them onto the survivors.
-  std::vector<int> pe_speeds;
-  /// Pipelined processing elements (issue-step-only occupancy).
-  bool pipelined_pes = false;
   /// Options for the recompaction rungs (policy is overridden per rung;
   /// the budget, passes and startup priority are honoured).
   CycloCompactionOptions compaction;

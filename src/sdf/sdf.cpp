@@ -29,6 +29,10 @@ std::size_t SdfGraph::add_channel(ActorId from, ActorId to, int produce,
     throw GraphError("SDF initial tokens must be >= 0");
   if (token_volume < 1)
     throw GraphError("SDF token volume must be >= 1");
+  if (token_volume > kMaxEdgeVolume)
+    throw GraphError("SDF token volume " + std::to_string(token_volume) +
+                     " exceeds the " + std::to_string(kMaxEdgeVolume) +
+                     " cap");
   channels_.push_back(
       SdfChannel{from, to, produce, consume, initial_tokens, token_volume});
   return channels_.size() - 1;
@@ -134,36 +138,52 @@ SdfExpansion expand_sdf(const SdfGraph& sdf) {
     return x >= 0 ? x / y : -((-x + y - 1) / y);
   };
 
-  try {
-    for (std::size_t cid = 0; cid < sdf.channel_count(); ++cid) {
-      const SdfChannel& ch = sdf.channel(cid);
-      const long long qa = out.repetitions[ch.from];
-      const long long qb = out.repetitions[ch.to];
-      // Merge token dependences by (producer copy, consumer copy, delay).
-      std::map<std::tuple<NodeId, NodeId, long long>, long long> bundle;
-      for (long long j = 0; j < qb; ++j) {
-        for (long long slot = 0; slot < ch.consume; ++slot) {
-          const long long token = j * ch.consume + slot;
-          const long long firing = floor_div(token - ch.initial_tokens,
-                                             ch.produce);
-          const long long iter = floor_div(firing, qa);
-          const long long copy = firing - iter * qa;  // firing mod qa, >= 0
-          const NodeId src = out.copy_of[ch.from][static_cast<std::size_t>(copy)];
-          const NodeId dst = out.copy_of[ch.to][static_cast<std::size_t>(j)];
-          bundle[{src, dst, -iter}] += 1;
-        }
-      }
-      for (const auto& [key, count] : bundle) {
-        const auto& [src, dst, delay] = key;
-        out.graph.add_edge(src, dst, static_cast<int>(delay),
-                           ch.token_volume * static_cast<std::size_t>(count));
+  // A zero-delay self-loop or cycle in the expansion means some channel
+  // holds too few initial tokens.
+  const auto deadlock = [&](const GraphError& e) {
+    return GraphError("SDF '" + sdf.name() +
+                      "' deadlocks (insufficient initial tokens): " +
+                      e.what());
+  };
+  for (std::size_t cid = 0; cid < sdf.channel_count(); ++cid) {
+    const SdfChannel& ch = sdf.channel(cid);
+    const long long qa = out.repetitions[ch.from];
+    const long long qb = out.repetitions[ch.to];
+    // Merge token dependences by (producer copy, consumer copy, delay).
+    std::map<std::tuple<NodeId, NodeId, long long>, long long> bundle;
+    for (long long j = 0; j < qb; ++j) {
+      for (long long slot = 0; slot < ch.consume; ++slot) {
+        const long long token = j * ch.consume + slot;
+        const long long firing = floor_div(token - ch.initial_tokens,
+                                           ch.produce);
+        const long long iter = floor_div(firing, qa);
+        const long long copy = firing - iter * qa;  // firing mod qa, >= 0
+        const NodeId src = out.copy_of[ch.from][static_cast<std::size_t>(copy)];
+        const NodeId dst = out.copy_of[ch.to][static_cast<std::size_t>(j)];
+        bundle[{src, dst, -iter}] += 1;
       }
     }
+    for (const auto& [key, count] : bundle) {
+      const auto& [src, dst, delay] = key;
+      // A capped token volume times at most `consume` tokens cannot wrap.
+      const std::size_t volume =
+          ch.token_volume * static_cast<std::size_t>(count);
+      if (volume > kMaxEdgeVolume)
+        throw GraphError("SDF channel " + sdf.actor(ch.from).name + "->" +
+                         sdf.actor(ch.to).name + ": merged volume " +
+                         std::to_string(volume) + " exceeds the " +
+                         std::to_string(kMaxEdgeVolume) + " cap");
+      try {
+        out.graph.add_edge(src, dst, static_cast<int>(delay), volume);
+      } catch (const GraphError& e) {
+        throw deadlock(e);
+      }
+    }
+  }
+  try {
     out.graph.require_legal();
   } catch (const GraphError& e) {
-    throw GraphError("SDF '" + sdf.name() +
-                     "' deadlocks (insufficient initial tokens): " +
-                     e.what());
+    throw deadlock(e);
   }
   return out;
 }

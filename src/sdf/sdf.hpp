@@ -54,7 +54,7 @@ public:
   ActorId add_actor(std::string name, int time);
 
   /// Adds a channel; rates must be >= 1, initial tokens >= 0,
-  /// token_volume >= 1.
+  /// token_volume in [1, kMaxEdgeVolume].
   std::size_t add_channel(ActorId from, ActorId to, int produce, int consume,
                           int initial_tokens = 0,
                           std::size_t token_volume = 1);
@@ -95,7 +95,8 @@ struct SdfExpansion {
 /// to its consuming firing with the iteration distance as the delay, and
 /// parallel token edges between the same firing pair merge with summed
 /// volume.  Throws GraphError if the graph is inconsistent or deadlocked
-/// (the expansion would contain a zero-delay cycle).
+/// (the expansion would contain a zero-delay cycle), or if a merged volume
+/// exceeds kMaxEdgeVolume.
 [[nodiscard]] SdfExpansion expand_sdf(const SdfGraph& sdf);
 
 }  // namespace ccs

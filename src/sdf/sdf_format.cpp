@@ -1,9 +1,10 @@
 #include "sdf/sdf_format.hpp"
 
-#include <map>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/lines.hpp"
+#include "util/numbers.hpp"
 
 namespace ccs {
 
@@ -15,68 +16,57 @@ namespace {
 
 }  // namespace
 
-SdfGraph parse_sdf(std::istream& in) {
+SdfGraph parse_sdf(std::string_view text) {
   SdfGraph sdf;
   bool named = false;
-  std::map<std::string, ActorId> by_name;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;
-
+  NameIndex actors;
+  for_each_line(text, [&](std::size_t lineno, Tokens t) {
+    const std::string_view keyword = t[0];
     if (keyword == "sdf") {
-      std::string name;
-      if (!(ls >> name)) fail(lineno, "sdf: missing name");
+      if (t.size() != 2) fail(lineno, "sdf: expected <name>");
       if (named || sdf.actor_count() != 0)
         fail(lineno, "sdf directive must come first, once");
-      sdf = SdfGraph(name);
+      sdf = SdfGraph(std::string(t[1]));
       named = true;
     } else if (keyword == "actor") {
-      std::string name;
       int time = 0;
-      if (!(ls >> name >> time)) fail(lineno, "actor: expected <name> <time>");
-      if (by_name.count(name)) fail(lineno, "duplicate actor '" + name + "'");
+      if (t.size() != 3 || !parse_whole(t[2], time))
+        fail(lineno, "actor: expected <name> <time>");
+      if (actors.find(t[1]) != nullptr)
+        fail(lineno, "duplicate actor '" + std::string(t[1]) + "'");
       try {
-        by_name[name] = sdf.add_actor(name, time);
+        actors.declare(t[1], sdf.add_actor(std::string(t[1]), time));
       } catch (const GraphError& e) {
         fail(lineno, e.what());
       }
     } else if (keyword == "channel") {
-      std::string from, to;
       int produce = 0, consume = 0, tokens = 0;
       long long volume = 1;
-      if (!(ls >> from >> to >> produce >> consume))
+      if (t.size() < 5 || t.size() > 7 || !parse_whole(t[3], produce) ||
+          !parse_whole(t[4], consume) ||
+          (t.size() > 5 && !parse_whole(t[5], tokens)) ||
+          (t.size() > 6 && !parse_whole(t[6], volume)))
         fail(lineno,
              "channel: expected <from> <to> <produce> <consume> "
              "[tokens [volume]]");
-      if (!(ls >> tokens)) tokens = 0;
-      if (!(ls >> volume)) volume = 1;
-      const auto f = by_name.find(from);
-      const auto t = by_name.find(to);
-      if (f == by_name.end()) fail(lineno, "unknown actor '" + from + "'");
-      if (t == by_name.end()) fail(lineno, "unknown actor '" + to + "'");
+      const NameIndex::Entry* from = actors.find(t[1]);
+      const NameIndex::Entry* to = actors.find(t[2]);
+      if (from == nullptr)
+        fail(lineno, "unknown actor '" + std::string(t[1]) + "'");
+      if (to == nullptr)
+        fail(lineno, "unknown actor '" + std::string(t[2]) + "'");
       if (volume < 1) fail(lineno, "token volume must be >= 1");
       try {
-        sdf.add_channel(f->second, t->second, produce, consume, tokens,
+        sdf.add_channel(from->id, to->id, produce, consume, tokens,
                         static_cast<std::size_t>(volume));
       } catch (const GraphError& e) {
         fail(lineno, e.what());
       }
     } else {
-      fail(lineno, "unknown directive '" + keyword + "'");
+      fail(lineno, "unknown directive '" + std::string(keyword) + "'");
     }
-  }
+  });
   return sdf;
-}
-
-SdfGraph parse_sdf(const std::string& text) {
-  std::istringstream in(text);
-  return parse_sdf(in);
 }
 
 std::string serialize_sdf(const SdfGraph& sdf) {

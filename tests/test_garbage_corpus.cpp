@@ -16,19 +16,56 @@
 #include "analysis/canon.hpp"
 #include "analysis/certify.hpp"
 #include "analysis/diagnostics.hpp"
+#include "arch/comm_model.hpp"
+#include "arch/topology.hpp"
 #include "cli/cli.hpp"
+#include "graph_reader_referee.hpp"
 #include "io/schedule_format.hpp"
 #include "io/serve_codec.hpp"
 #include "io/text_format.hpp"
 #include "robust/fault_plan.hpp"
+#include "sdf/sdf.hpp"
+#include "sdf/sdf_format.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
 
 namespace ccs {
 namespace {
 
-/// Feeds one hostile input to every lenient parser and the strict topology
-/// parser; the only acceptable outcomes are diagnostics and ParseError.
+/// The graph the strict schedule reader resolves hostile schedules
+/// against; its task names are the ones the corpus uses.
+const Csdfg& schedule_graph() {
+  static const Csdfg g = parse_csdfg(
+      "graph g\nnode a 1\nnode b 2\nnode C 1\nedge a b 0 1\nedge b a 1 1\n");
+  return g;
+}
+
+/// The graph reader accepts nothing its referee (the istringstream reader
+/// it replaced) refuses, and reads what both accept alike.
+void expect_no_wider_than_referee(const std::string& text,
+                                  const std::string& label,
+                                  const ParsedCsdfg& mine,
+                                  const DiagnosticBag& mine_bag) {
+  DiagnosticBag theirs;
+  ParsedCsdfg ref;
+  bool refused = false;
+  try {
+    ref = referee::parse_csdfg_with_spans(text, label, theirs);
+    refused = theirs.count(Severity::kError) > 0;
+  } catch (const GraphError&) {
+    refused = true;  // a volume read as a huge number, past the cap
+  }
+  const bool accepted = mine_bag.count(Severity::kError) == 0;
+  EXPECT_FALSE(refused && accepted) << label;
+  if (!accepted) return;
+  EXPECT_EQ(serialize_csdfg(mine.graph), serialize_csdfg(ref.graph)) << label;
+  EXPECT_EQ(mine.spans.node_lines, ref.spans.node_lines) << label;
+  EXPECT_EQ(mine.spans.edge_lines, ref.spans.edge_lines) << label;
+}
+
+/// Feeds one hostile input to every lenient parser and to the strict
+/// topology, SDF and schedule readers; the only acceptable outcomes are
+/// diagnostics and ParseError.
 void expect_survives(const std::string& text, const std::string& label) {
   {
     DiagnosticBag bag;
@@ -38,6 +75,15 @@ void expect_survives(const std::string& text, const std::string& label) {
     // terminate on it and hand back a permutation witness that reverifies.
     const CanonResult canon = canonicalize(parsed.graph);
     EXPECT_TRUE(reverify(parsed.graph, canon)) << label;
+    expect_no_wider_than_referee(text, label, parsed, bag);
+  }
+  try {
+    (void)parse_sdf(text);
+  } catch (const ParseError&) {
+  }
+  try {
+    (void)parse_schedule(schedule_graph(), text);
+  } catch (const ParseError&) {
   }
   {
     DiagnosticBag bag;
@@ -133,6 +179,24 @@ TEST(GarbageCorpus, CrlfAndBomInputsParseLikePlainLf) {
   EXPECT_TRUE(raw.has_directive);
   ASSERT_EQ(raw.places.size(), 1u);
   EXPECT_EQ(raw.places[0].task, "a");
+
+  const ScheduleTable table = parse_schedule(
+      dos.graph, "\xEF\xBB\xBFschedule 4 2 pipelined\r\nspeeds 1 2\r\n"
+                 "place a 1 1\r\nplace b 2 3\r\n");
+  EXPECT_EQ(table.length(), 4);
+  EXPECT_TRUE(table.pipelined_pes());
+  EXPECT_EQ(table.pe_speed(1), 2);
+  EXPECT_EQ(table.cb(1), 3);
+  EXPECT_EQ(table.pe(1), 1u);
+
+  const SdfGraph sdf = parse_sdf(
+      "\xEF\xBB\xBFsdf s\r\nactor a 1\r\nactor b 2\r\n"
+      "channel a b 2 1\r\nchannel b a 1 2 2 3\r\n");
+  EXPECT_EQ(serialize_sdf(sdf),
+            serialize_sdf(parse_sdf("sdf s\nactor a 1\nactor b 2\n"
+                                    "channel a b 2 1\nchannel b a 1 2 2 3\n")));
+  EXPECT_EQ(sdf.name(), "s");
+  EXPECT_EQ(sdf.channel(1).token_volume, 3u);
 }
 
 TEST(GarbageCorpus, TenMegabyteSingleLine) {
@@ -205,6 +269,89 @@ TEST(GarbageCorpus, AllocationBombsAreParseErrorsNotAllocations) {
         "star 2000"}) {
     EXPECT_THROW((void)parse_topology(spec), ParseError) << spec;
   }
+}
+
+// Volumes are capped at kMaxEdgeVolume so that hops × c(e) and the
+// start-up scheduler's step budget (a sum of diameter × c(e)) stay inside
+// 64 bits.  A volume of 3074457345618258603 on linear_array 4 (diameter 3)
+// used to wrap that budget, and `schedule` answered "start-up scheduling
+// failed to converge (internal error)".
+TEST(GarbageCorpus, VolumesPastTheCapAreRefusedEverywhere) {
+  const std::string wraps =
+      "graph g\nnode a 1\nnode b 1\nnode c 1\nnode d 1\nedge a b 0 1\n"
+      "edge b c 0 3074457345618258603\nedge c d 0 1\nedge d a 1 1\n";
+  DiagnosticBag bag;
+  (void)parse_csdfg_with_spans(wraps, "<cap>", bag);
+  bag.finalize();
+  ASSERT_EQ(bag.diagnostics().size(), 1u);
+  EXPECT_EQ(bag.diagnostics()[0].code, "CCS-G004");
+  EXPECT_EQ(bag.diagnostics()[0].span.line, 7u);
+
+  std::istringstream in(wraps);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"schedule", "-", "--arch", "linear_array 4"}, in, out,
+                    err),
+            1);
+  EXPECT_NE(err.str().find("data volume 3074457345618258603 exceeds the "
+                           "1000000 cap"),
+            std::string::npos)
+      << err.str();
+
+  // The graph API, and so SDF expansion and generated graphs, refuse it.
+  Csdfg g;
+  const NodeId a = g.add_node("a", 1);
+  const NodeId b = g.add_node("b", 1);
+  EXPECT_NO_THROW(g.add_edge(a, b, 0, kMaxEdgeVolume));
+  EXPECT_THROW(g.add_edge(a, b, 0, kMaxEdgeVolume + 1), GraphError);
+  EXPECT_THROW((void)parse_sdf("actor a 1\nactor b 1\n"
+                               "channel a b 1 1 0 1000001\n"),
+               ParseError);
+  // Two tokens of volume 600000 merge into one edge of volume 1200000.
+  const SdfGraph merged = parse_sdf(
+      "actor a 1\nactor b 1\nchannel a b 2 2 0 600000\nchannel b a 1 1 1\n");
+  try {
+    (void)expand_sdf(merged);
+    ADD_FAILURE() << "expanded";
+  } catch (const GraphError& e) {
+    EXPECT_NE(std::string(e.what()).find("merged volume 1200000 exceeds"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// "-1" once read as volume 2^64 - 1 and priced the a->b transfer at -1
+// step, so this graph certified a 5-step table on linear_array 2.
+TEST(GarbageCorpus, NegativeVolumesNoLongerCertify) {
+  std::istringstream in(
+      "graph g\nnode a 4\nnode b 4\nedge a b 1 -1\nedge b a 1 1\n");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"schedule", "-", "--arch", "linear_array 2", "--policy",
+                     "relax", "--certify"},
+                    in, out, err),
+            1);
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(err.str(), "error: line 4: edge a->b: data volume must be >= 1\n");
+}
+
+// A task time times a PE speed can pass INT_MAX.  The certifier prices end
+// steps in 64 bits and checks exclusivity on the table's rows only, so the
+// placement is an S003 finding; in 32 bits the end step wrapped negative,
+// the table check passed, and the unfold cross-check aborted the process.
+TEST(GarbageCorpus, CertifierEndStepsDoNotWrap) {
+  const Csdfg g = parse_csdfg(
+      "graph g\nnode a 2000000000\nnode b 1\nedge a b 1 1\nedge b a 1 1\n");
+  const Topology topo = make_linear_array(2);
+  const StoreAndForwardModel comm(topo);
+  DiagnosticBag bag;
+  const RawSchedule raw = parse_raw_schedule(
+      "schedule 10 2\nspeeds 2 1\nplace a 1 1\nplace b 2 1\n", "<wrap>", bag);
+  EXPECT_FALSE(certify_schedule(g, raw, topo, comm, {}, bag));
+  bag.finalize();
+  bool outside = false;
+  for (const Diagnostic& d : bag.diagnostics())
+    outside |= d.code == "CCS-S003" &&
+               d.message.find("steps [1,4000000000]") != std::string::npos;
+  EXPECT_TRUE(outside) << render_text(bag);
 }
 
 TEST(GarbageCorpus, HugeNumericFieldsInEveryGrammar) {

@@ -1,11 +1,15 @@
 // Unit tests for the schedule interchange format.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "analysis/certify.hpp"
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/cyclo_compaction.hpp"
 #include "core/validator.hpp"
 #include "io/schedule_format.hpp"
+#include "test_graphs.hpp"
 #include "util/error.hpp"
 #include "workloads/library.hpp"
 
@@ -85,6 +89,126 @@ TEST_F(ScheduleFormatTest, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_schedule(g_, "schedule 5 2\nplace B 1 5\n"),
                ParseError);
   EXPECT_THROW((void)parse_schedule(g_, "frobnicate\n"), ParseError);
+}
+
+// The grammar: `schedule` first and once, `speeds` at most once and before
+// every place, whole-token numbers, no extra tokens.
+TEST_F(ScheduleFormatTest, RefusesWhatTheGrammarDoesNotTake) {
+  for (const char* text : {
+           "schedule 4 2 junk\n",
+           "schedule 4 2 pipelined junk\n",
+           "schedule 4x 2\n",
+           "place A 1 1\nschedule 4 2\n",
+           "retime A 1\nschedule 4 2\n",
+           "schedule 4 2\nspeeds 1 1\nspeeds 1 1\n",
+           "schedule 4 2\nplace A 1 1\nspeeds 1 1\n",
+           "schedule 4 2\nspeeds 1 1x\n",
+           "schedule 4 2\nspeeds 1 1 1\n",
+           "schedule 4 2\nplace A 1 1 extra\n",
+           "schedule 4 2\nplace A 1 1.5\n",
+           "schedule 4 2\nretime A 1 2\n",
+           "schedule 4 2\nretime A -9223372036854775808\n",
+           "schedule 4 2\nretime A 1\nretime A 2\n",
+       }) {
+    EXPECT_THROW((void)parse_schedule(g_, text), ParseError) << text;
+    DiagnosticBag bag;
+    (void)resolve_schedule(g_, parse_raw_schedule(text, "<t>", bag), bag);
+    bag.finalize();
+    EXPECT_GE(bag.count(Severity::kError), 1u) << text;
+    for (const Diagnostic& d : bag.diagnostics())
+      EXPECT_EQ(d.code, "CCS-S001") << text;
+  }
+}
+
+// The strict reader and the certifier share one resolution step, so they
+// word a resolution problem alike.
+TEST_F(ScheduleFormatTest, StrictReaderReportsTheCertifiersResolution) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"schedule 9 2\nplace Z 1 1\n", "line 2: unknown task 'Z'"},
+      {"schedule 9 2\nplace A 3 1\n",
+       "line 2: pe 3 out of range for 2 processor(s)"},
+      {"schedule 9 2\nplace A 1 1\nplace A 2 1\n",
+       "line 3: task 'A' placed twice (first on line 2)"},
+      {"schedule 9 2\nretime Q 1\n", "line 2: unknown task 'Q'"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)parse_schedule(g_, text);
+      ADD_FAILURE() << text;
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+    const Topology pair = make_linear_array(2);
+    const StoreAndForwardModel comm(pair);
+    DiagnosticBag bag;
+    (void)certify_schedule(g_, parse_raw_schedule(text, "<t>", bag), pair,
+                           comm, {}, bag);
+    bag.finalize();
+    std::vector<std::string> s001;
+    for (const Diagnostic& d : bag.diagnostics())
+      if (d.code == "CCS-S001")
+        s001.push_back("line " + std::to_string(d.span.line) + ": " +
+                       d.message);
+    EXPECT_EQ(s001, std::vector<std::string>{message}) << text;
+  }
+}
+
+// Serialize, then read strictly: every library body on each of the
+// paper's five machines, homogeneous and with speeds, with and without
+// pipelining, compacted so that retime lines are written too.
+TEST(ScheduleRoundTrip, LibraryBodiesOnThePaperMachines) {
+  for (const auto& [name, g] : test_graphs::library_workloads()) {
+    for (const Topology& topo : test_graphs::paper_machines()) {
+      const StoreAndForwardModel comm(topo);
+      for (const bool heterogeneous : {false, true}) {
+        for (const bool pipelined : {false, true}) {
+          CycloCompactionOptions options;
+          options.passes = 4;
+          options.startup.pipelined_pes = pipelined;
+          if (heterogeneous)
+            for (PeId p = 0; p < topo.size(); ++p)
+              options.startup.pe_speeds.push_back(1 + static_cast<int>(p % 3));
+          const CycloCompactionResult res =
+              cyclo_compact(g, topo, comm, options);
+          const ScheduleTable back = parse_schedule(
+              res.retimed_graph,
+              serialize_schedule(res.retimed_graph, res.best, &res.retiming));
+          const std::string where = name + " on " + topo.name();
+          EXPECT_EQ(back.length(), res.best.length()) << where;
+          EXPECT_EQ(back.pe_speeds(), res.best.pe_speeds()) << where;
+          EXPECT_EQ(back.pipelined_pes(), pipelined) << where;
+          EXPECT_EQ(back.placements(), res.best.placements()) << where;
+        }
+      }
+    }
+  }
+}
+
+// Resolution indexes the task names once: a 16k-task chain on one PE reads
+// and certifies clean (each `place` line used to scan every task name).
+TEST(ScheduleAtScale, SixteenThousandTaskChainReadsAndCertifies) {
+  constexpr int kTasks = 16'384;
+  Csdfg g("chain");
+  std::string text = "schedule " + std::to_string(kTasks) + " 1\n";
+  for (int i = 0; i < kTasks; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    g.add_node(name, 1);
+    if (i > 0) g.add_edge(static_cast<NodeId>(i - 1), static_cast<NodeId>(i), 0);
+    text += "place " + name + " 1 " + std::to_string(i + 1) + "\n";
+  }
+  g.add_edge(static_cast<NodeId>(kTasks - 1), 0, 1);
+
+  const ScheduleTable table = parse_schedule(g, text);
+  EXPECT_EQ(table.length(), kTasks);
+  EXPECT_EQ(table.placed_count(), static_cast<std::size_t>(kTasks));
+
+  const Topology one = make_linear_array(1);
+  const StoreAndForwardModel comm(one);
+  DiagnosticBag bag;
+  const RawSchedule raw = parse_raw_schedule(text, "<chain>", bag);
+  EXPECT_TRUE(certify_schedule(g, raw, one, comm, {}, bag));
+  bag.finalize();
+  EXPECT_TRUE(bag.empty()) << render_text(bag);
 }
 
 TEST_F(ScheduleFormatTest, CommentsAreIgnored) {

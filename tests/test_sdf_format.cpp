@@ -57,6 +57,13 @@ TEST(SdfFormat, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_sdf("warp 9\n"), ParseError);
   EXPECT_THROW((void)parse_sdf("actor a 1\nchannel a a 1 1 0 0\n"),
                ParseError);
+  // Whole-token numbers, no extra tokens: "zz" used to read as 0 tokens.
+  for (const char* text :
+       {"actor a 1\nactor b 1\nchannel a b 2 1 zz\n",
+        "actor a 1\nactor b 1\nchannel a b 2 1 0 1 extra\n",
+        "actor a 1x\n", "actor a 1 extra\n", "sdf s extra\n"}) {
+    EXPECT_THROW((void)parse_sdf(text), ParseError) << text;
+  }
 }
 
 TEST(SdfFormat, ErrorsCarryLineNumbers) {

@@ -390,12 +390,13 @@ TEST(Serve, AnswersThatReachTheirBoundArePublished) {
 
 // A portfolio that also stops itself at its bound, but is drained mid-solve:
 // a 3000-step self-loop task (bound 3000) beside a 1200-task chain, so the
-// start-up schedule already meets the bound, while the cache probe's
-// fingerprint of the long chain and the start-up list schedules, which
-// walk every control step, keep the request busy (0.2-0.3 s in an
-// optimized build) well past the 30 ms drain.  The answer still reads
-// "preempted" with gap 0, but the drain fired before solve() returned, so
-// it is not published.
+// start-up schedule already meets the bound.  What keeps the request busy
+// well past the 30 ms drain is the cache probe canonicalizing the long
+// chain (about 90 ms in a Release build; canonical labeling is quadratic
+// on a zero-delay chain), then the start-up list schedules, which walk
+// every control step — not parsing it, which takes under a millisecond.
+// The answer still reads "preempted" with gap 0, but the drain fired
+// before solve() returned, so it is not published.
 TEST(Serve, DrainPreemptedAnswersAreNotPublished) {
   SolveCache::global().clear();
   std::string slow = "graph slow\nnode big 3000\nedge big big 1 1\n";

@@ -1,7 +1,14 @@
-// Unit tests for the text interchange formats.
+// Unit tests for the text interchange formats, and the differential sweep
+// of the graph reader against its referee (tests/graph_reader_referee.hpp).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "graph_reader_referee.hpp"
 #include "io/text_format.hpp"
+#include "test_graphs.hpp"
 #include "util/error.hpp"
 #include "workloads/library.hpp"
 
@@ -97,6 +104,140 @@ TEST(TextFormat, RejectsBadArchitectureSpecs) {
   EXPECT_THROW((void)parse_topology("megastructure 8"), ParseError);
   EXPECT_THROW((void)parse_topology("mesh 4"), ParseError);
   EXPECT_THROW((void)parse_topology("mesh four two"), ParseError);
+  // A parameter the topology does not take is refused, not ignored.
+  for (const std::string spec :
+       {"linear_array 4 junk", "mesh 2 2 2", "ring 8 bi", "ring 8 uni x"}) {
+    try {
+      (void)parse_topology(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("unexpected parameter"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Every number is one whole token and a directive takes no extra tokens.
+// Each line below was read by the istringstream reader (time 12, volume
+// 2^64 - 1, volume 1, a dropped token); now each is refused.
+TEST(TextFormat, RefusesPartialNumbersAndExtraTokens) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"node a 12abc\n", "CCS-P001"},
+      {"node a 1 extra\n", "CCS-P001"},
+      {"node a 1\nnode b 1\nedge a b 1 -1\n", "CCS-G004"},
+      {"node a 1\nnode b 1\nedge a b 0 99999999999999999999\n", "CCS-P001"},
+      {"node a 1\nnode b 1\nedge a b 0 x\n", "CCS-P001"},
+      {"node a 1\nnode b 1\nedge a b 0 1 1\n", "CCS-P001"},
+      {"graph g extra\n", "CCS-P001"},
+  };
+  for (const auto& [text, code] : cases) {
+    DiagnosticBag bag;
+    (void)parse_csdfg_with_spans(text, "<t>", bag);
+    bag.finalize();
+    ASSERT_EQ(bag.diagnostics().size(), 1u) << text;
+    EXPECT_EQ(bag.diagnostics()[0].code, code) << text;
+    EXPECT_THROW((void)parse_csdfg(text), ParseError) << text;
+  }
+  // Zero and negative volumes keep their message; the cap has its own.
+  for (const char* volume : {"0", "-1"}) {
+    try {
+      (void)parse_csdfg(std::string("node a 1\nnode b 1\nedge a b 0 ") +
+                        volume + "\n");
+      ADD_FAILURE() << volume;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.detail(), "edge a->b: data volume must be >= 1");
+    }
+  }
+  try {
+    (void)parse_csdfg("node a 1\nnode b 1\nedge a b 0 1000001\n");
+    ADD_FAILURE();
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.detail(), "edge a->b: data volume 1000001 exceeds the "
+                          "1000000 cap");
+  }
+  EXPECT_EQ(parse_csdfg("node a 1\nnode b 1\nedge a b 0 1000000\n")
+                .edge(0)
+                .volume,
+            kMaxEdgeVolume);
+}
+
+// --- Differential sweep against the istringstream reader --------------------
+
+/// The text in four dresses: as is, with CRLF line ends, behind a UTF-8
+/// BOM, and with a comment after every line.
+std::vector<std::string> dressings(const std::string& text) {
+  std::string crlf, commented;
+  for (const char c : text) {
+    if (c == '\n') {
+      crlf += "\r\n";
+      commented += "  # note\n";
+    } else {
+      crlf += c;
+      commented += c;
+    }
+  }
+  return {text, crlf, "\xEF\xBB\xBF" + text, "\xEF\xBB\xBF" + crlf,
+          commented};
+}
+
+/// Both readers must give the same graph, spans and findings.
+void expect_same_reading(const std::string& text, const std::string& label) {
+  for (const std::string& dressed : dressings(text)) {
+    DiagnosticBag mine, theirs;
+    const ParsedCsdfg a = parse_csdfg_with_spans(dressed, label, mine);
+    const ParsedCsdfg b =
+        referee::parse_csdfg_with_spans(dressed, label, theirs);
+    mine.finalize();
+    theirs.finalize();
+    ASSERT_EQ(serialize_csdfg(a.graph), serialize_csdfg(b.graph)) << label;
+    EXPECT_EQ(a.spans.graph_line, b.spans.graph_line) << label;
+    EXPECT_EQ(a.spans.node_lines, b.spans.node_lines) << label;
+    EXPECT_EQ(a.spans.edge_lines, b.spans.edge_lines) << label;
+    EXPECT_EQ(render_text(mine), render_text(theirs)) << label;
+  }
+}
+
+TEST(GraphReaderReferee, LibraryBodiesReadAlike) {
+  for (const auto& [name, g] : test_graphs::library_workloads())
+    expect_same_reading(serialize_csdfg(g), name);
+}
+
+TEST(GraphReaderReferee, ExampleFilesReadAlike) {
+  namespace fs = std::filesystem;
+  std::size_t files = 0;
+  for (const char* dir : {"", "/bad"}) {
+    for (const auto& entry :
+         fs::directory_iterator(std::string(CCS_EXAMPLES_DATA_DIR) + dir)) {
+      if (entry.path().extension() != ".csdfg") continue;
+      std::ifstream in(entry.path());
+      std::ostringstream text;
+      text << in.rdbuf();
+      expect_same_reading(text.str(), entry.path().filename().string());
+      ++files;
+    }
+  }
+  EXPECT_GE(files, 17u);  // 3 examples + the 14-file lint corpus
+}
+
+TEST(GraphReaderReferee, RandomGraphsReadAlike) {
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    RandomDfgConfig cfg;
+    cfg.num_nodes = 2 + seed % 40;
+    cfg.num_layers = 1 + seed % std::min<std::size_t>(cfg.num_nodes, 6);
+    cfg.num_back_edges = seed % 7;
+    cfg.max_time = 1 + static_cast<int>(seed % 9);
+    cfg.max_volume = 1 + seed % 1000;
+    cfg.max_delay = 1 + static_cast<int>(seed % 5);
+    expect_same_reading(serialize_csdfg(random_csdfg(cfg, seed)),
+                        "seed " + std::to_string(seed));
+  }
+}
+
+TEST(GraphReaderReferee, GeneratedGraphsOf16To4096NodesReadAlike) {
+  for (std::size_t nodes = 16; nodes <= 4096; nodes *= 4)
+    expect_same_reading(serialize_csdfg(test_graphs::graph_of_size(nodes)),
+                        std::to_string(nodes) + " nodes");
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ build_dir="${1:-${default_dir}}"
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCCSCHED_SANITIZE="${sanitizers}"
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 
 if [[ ",${sanitizers}," == *",thread,"* ]]; then
   # The determinism tests in this filter run the worker pool at jobs up to 8
